@@ -685,6 +685,41 @@ let bench_absint_fixpoint =
     (Staged.stage (fun () -> ignore (Verify.Absint.analyze absint_graph)))
 
 (* ------------------------------------------------------------------ *)
+(* adequation_scaling: one adequation of the networked fork-join
+   workload (adc → 2N filters → fusion → dac on N processors sharing
+   one bus, as in [experiments networked]) at N = 8, 16, 32, 64.  A
+   curve rather than a point because the route search's cliff only
+   shows as one.  Timed directly — the median of at least 3 runs and
+   at least 0.5 s — since one N = 64 run outlasts the Bechamel
+   quota. *)
+
+let adequation_scaling_points = [ 8; 16; 32; 64 ]
+
+let adequation_scaling_name n = Printf.sprintf "adequation_scaling_n%d" n
+
+let adequation_scaling_ns n =
+  let procs = List.init n (Printf.sprintf "N%d") in
+  let architecture = Arch.bus_topology ~time_per_word:0.0002 procs in
+  let algorithm, durations =
+    Aaa.Workloads.fork_join ~period:0.05 ~sensor_wcet:0.002 ~branch_wcet:0.004
+      ~fusion_wcet:0.003 ~branches:(2 * n) ~operators:procs ()
+  in
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    ignore (Aaa.Adequation.run ~algorithm ~architecture ~durations ());
+    Unix.gettimeofday () -. t0
+  in
+  let rec collect acc count elapsed =
+    if count >= 3 && elapsed >= 0.5 then acc
+    else
+      let t = once () in
+      collect (t :: acc) (count + 1) (elapsed +. t)
+  in
+  let samples = Array.of_list (collect [] 0 0.) in
+  Array.sort compare samples;
+  samples.(Array.length samples / 2) *. 1e9
+
+(* ------------------------------------------------------------------ *)
 
 let tests =
   [
@@ -738,39 +773,47 @@ let find_flag flag =
 
 let json_path = find_flag "--json"
 
-let tests =
+let selected name =
   match find_flag "--only" with
-  | None -> tests
+  | None -> true
   | Some fragment ->
-      let contains name =
-        let nh = String.length name and nn = String.length fragment in
-        let rec go i = i + nn <= nh && (String.sub name i nn = fragment || go (i + 1)) in
-        nn = 0 || go 0
-      in
-      List.filter
-        (fun t -> contains (Test.Elt.name (List.hd (Test.elements t))))
-        tests
+      let nh = String.length name and nn = String.length fragment in
+      let rec go i = i + nn <= nh && (String.sub name i nn = fragment || go (i + 1)) in
+      nn = 0 || go 0
+
+let tests = List.filter (fun t -> selected (Test.Elt.name (List.hd (Test.elements t)))) tests
 
 let dump_json results =
   match json_path with
   | None -> ()
   | Some path ->
       let oc = open_out path in
+      let scaling = List.map adequation_scaling_name adequation_scaling_points in
       let row (name, t_ns) =
-        (* explore benches also report throughput; extra fields after
-           time_ns are ignored by scripts/compare_bench.sh *)
+        (* explore benches also report throughput, the adequation curve
+           the host it ran on; extra fields after time_ns are ignored by
+           scripts/compare_bench.sh *)
         match List.assoc_opt name explore_candidates with
         | Some n when t_ns > 0. ->
             Printf.sprintf
               "  {\"name\": %S, \"time_ns\": %.1f, \"candidates_per_sec\": %.1f}"
               name t_ns
               (float_of_int n /. (t_ns /. 1e9))
+        | _ when List.mem name scaling ->
+            Printf.sprintf "  {\"name\": %S, \"time_ns\": %.1f, \"nproc\": %d, \"ocaml\": %S}"
+              name t_ns (Domain.recommended_domain_count ()) Sys.ocaml_version
         | _ -> Printf.sprintf "  {\"name\": %S, \"time_ns\": %.1f}" name t_ns
       in
       output_string oc
         ("[\n" ^ String.concat ",\n" (List.map row (List.rev results)) ^ "\n]\n");
       close_out oc;
       Printf.printf "\nwrote %d benchmark results to %s\n" (List.length results) path
+
+let pretty_ns t_ns =
+  if t_ns >= 1e9 then Printf.sprintf "%.3f  s" (t_ns /. 1e9)
+  else if t_ns >= 1e6 then Printf.sprintf "%.3f ms" (t_ns /. 1e6)
+  else if t_ns >= 1e3 then Printf.sprintf "%.3f us" (t_ns /. 1e3)
+  else Printf.sprintf "%.1f ns" t_ns
 
 let () =
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
@@ -788,12 +831,7 @@ let () =
           let est = Analyze.one ols Instance.monotonic_clock samples in
           match Analyze.OLS.estimates est with
           | Some [ t_ns ] ->
-              let pretty =
-                if t_ns >= 1e9 then Printf.sprintf "%.3f  s" (t_ns /. 1e9)
-                else if t_ns >= 1e6 then Printf.sprintf "%.3f ms" (t_ns /. 1e6)
-                else if t_ns >= 1e3 then Printf.sprintf "%.3f us" (t_ns /. 1e3)
-                else Printf.sprintf "%.1f ns" t_ns
-              in
+              let pretty = pretty_ns t_ns in
               let r2 =
                 match Analyze.OLS.r_square est with
                 | Some r -> Printf.sprintf "%.4f" r
@@ -804,4 +842,13 @@ let () =
           | Some _ | None -> Printf.printf "%-34s %16s %10s\n" name "(no estimate)" "-")
         raw)
     tests;
+  List.iter
+    (fun n ->
+      let name = adequation_scaling_name n in
+      if selected name then begin
+        let t_ns = adequation_scaling_ns n in
+        results := (name, t_ns) :: !results;
+        Printf.printf "%-34s %16s %10s\n%!" name (pretty_ns t_ns) "-"
+      end)
+    adequation_scaling_points;
   dump_json !results

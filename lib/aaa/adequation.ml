@@ -76,6 +76,39 @@ let critical_path ~algorithm ~architecture ~durations =
   let tails = tail_levels ~algorithm ~architecture ~durations deps in
   Array.fold_left Float.max 0. tails
 
+(* A route that takes two consecutive hops on the same medium is
+   dominated: that medium also joins the hop before and the hop after
+   directly.  The shortcut route has fewer hops, so it comes earlier in
+   {!Architecture.routes}' breadth-first order (and within the same
+   [max_routes] cap); along it the tentative walk reaches every later
+   hop no later, because a walk never updates medium availability
+   between its own hops.  [best_transfer] keeps the first of equally
+   early routes, so dropping the dominated ones never changes its
+   choice. *)
+let rec relays_on_one_medium = function
+  | (m1, _) :: ((m2, _) :: _ as rest) -> m1 = m2 || relays_on_one_medium rest
+  | [ _ ] | [] -> false
+
+(* [run] asks for the same (source, destination) pair for every
+   dependency × candidate operator × ready operation × step; the table
+   searches and filters each pair once.  Keyed on operator ids: the
+   architecture does not change during a run. *)
+let route_table architecture =
+  let n = Architecture.operator_count architecture in
+  let table = Hashtbl.create 16 in
+  fun src dst ->
+    let key = (pi src * n) + pi dst in
+    match Hashtbl.find_opt table key with
+    | Some routes -> routes
+    | None ->
+        let routes =
+          List.filter
+            (fun route -> not (relays_on_one_medium route))
+            (Architecture.routes architecture src dst)
+        in
+        Hashtbl.add table key routes;
+        routes
+
 type placed = { p_operator : Architecture.operator_id; p_start : float; p_finish : float }
 
 let run ?(strategy = Pressure) ?(pins = []) ~algorithm ~architecture ~durations () =
@@ -130,6 +163,7 @@ let run ?(strategy = Pressure) ?(pins = []) ~algorithm ~architecture ~durations 
   let operator_avail = Array.make (Architecture.operator_count architecture) 0. in
   let medium_avail = Array.make (Architecture.medium_count architecture) 0. in
   let comm_slots = ref [] in
+  let routes = route_table architecture in
   (* precedence predecessors: sources of scheduling deps, except memories *)
   let pred_edges = Array.make n [] in
   List.iter
@@ -147,7 +181,7 @@ let run ?(strategy = Pressure) ?(pins = []) ~algorithm ~architecture ~durations 
      to [operator], given current media availability and the producer
      finish time; returns the arrival time at the destination *)
   let best_transfer ~commit ~src ~sp ~dst ~dp ~src_operator ~operator ~ready_at ~words =
-    let candidate_routes = Architecture.routes architecture src_operator operator in
+    let candidate_routes = routes src_operator operator in
     match candidate_routes with
     | [] -> None
     | _ :: _ ->

@@ -46,6 +46,20 @@ val run :
     SynDEx.  Raises {!Infeasible}, or [Invalid_argument] for malformed
     inputs or unknown pin names. *)
 
+val route_table :
+  Architecture.t ->
+  Architecture.operator_id ->
+  Architecture.operator_id ->
+  (Architecture.medium_id * Architecture.operator_id) list list
+(** [route_table arch] is the route lookup one {!run} prices its
+    transfers with: {!Architecture.routes} memoised per (source,
+    destination) pair, minus the {e dominated} routes — those taking
+    two consecutive hops on the same medium, which also joins the hop
+    before and the hop after directly.  The shortcut route has fewer
+    hops, so it precedes the dominated one in the breadth-first order
+    and arrives no later; dropping the dominated routes never changes
+    the route [run] picks, only the time it takes to pick it. *)
+
 val critical_path : algorithm:Algorithm.t -> architecture:Architecture.t -> durations:Durations.t -> float
 (** Communication-free critical path length using operator-averaged
     WCETs — the lower bound the heuristic's pressure ranking is

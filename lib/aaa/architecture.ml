@@ -116,23 +116,41 @@ let routes ?(max_hops = 3) ?(max_routes = 8) a src dst =
   check_operator a src;
   check_operator a dst;
   if src = dst then invalid_arg "Architecture.routes: identical operators";
-  (* breadth-first enumeration of simple paths *)
-  let results = ref [] in
-  let queue = Queue.create () in
-  Queue.add (src, [], [ src ]) queue;
-  while not (Queue.is_empty queue) && List.length !results < max_routes do
-    let here, path_rev, visited = Queue.pop queue in
-    if here = dst then results := List.rev path_rev :: !results
-    else if List.length path_rev < max_hops then
-      Array.iteri
-        (fun mid m ->
-          if List.mem here m.m_endpoints then
-            List.iter
-              (fun next ->
-                if next <> here && not (List.mem next visited) then
-                  Queue.add (next, (mid, next) :: path_rev, next :: visited) queue)
-              m.m_endpoints)
-        a.a_media
+  (* media incident to each operator, in medium-id order *)
+  let incident = Array.make (operator_count a) [] in
+  for mid = medium_count a - 1 downto 0 do
+    List.iter (fun op -> incident.(op) <- mid :: incident.(op)) a.a_media.(mid).m_endpoints
+  done;
+  (* Iterative deepening: for hops = 1, 2, … a depth-first walk lists
+     the simple paths of exactly that many hops, visiting media in id
+     order and endpoints in ascending order — the order a breadth-first
+     search over simple paths yields them in (the contract in the
+     interface).  A BFS queue would hold O(N²) partial paths per call
+     on an N-operator bus, most of them never used once [max_routes]
+     is reached.  A path never passes through [dst]: reaching it ends
+     the route. *)
+  let results = ref [] and found = ref 0 in
+  let rec walk here path_rev visited left =
+    if left = 1 then
+      List.iter
+        (fun mid ->
+          if !found < max_routes && List.mem mid incident.(dst) then begin
+            results := List.rev ((mid, dst) :: path_rev) :: !results;
+            incr found
+          end)
+        incident.(here)
+    else
+      List.iter
+        (fun mid ->
+          List.iter
+            (fun next ->
+              if !found < max_routes && next <> dst && not (List.mem next visited) then
+                walk next ((mid, next) :: path_rev) (next :: visited) (left - 1))
+            a.a_media.(mid).m_endpoints)
+        incident.(here)
+  in
+  for hops = 1 to max_hops do
+    if !found < max_routes then walk src [] [ src ] hops
   done;
   List.rev !results
 

@@ -63,11 +63,19 @@ val routes :
   (medium_id * operator_id) list list
 (** Simple routes from the first operator to the second: each route is
     the hop list [(medium, operator reached)], ending at the
-    destination.  Routes are enumerated shortest-first (breadth-first
-    over simple paths), limited to [max_hops] (default 3) and
-    [max_routes] (default 8).  Gateways — operators relaying between
-    two media — appear as intermediate hop endpoints.  Raises
-    [Invalid_argument] on identical endpoints. *)
+    destination, never passing through it earlier.  At most
+    [max_routes] (default 8) routes of at most [max_hops] (default 3)
+    hops.  Gateways — operators relaying between two media — appear as
+    intermediate hop endpoints.  Raises [Invalid_argument] on
+    identical endpoints.
+
+    Ordering contract: routes come in nondecreasing hop count, in the
+    order a breadth-first search over simple paths finds them —
+    within one hop count, lexicographic by (medium id, operator id)
+    hop after hop — and the [max_routes] cap keeps the first ones in
+    that order.  So every route with fewer hops than a returned one is
+    returned too, ahead of it.  {!Adequation.route_table} relies on
+    this to drop dominated routes exactly. *)
 
 val validate : t -> unit
 (** Checks there is at least one operator and that the operator graph

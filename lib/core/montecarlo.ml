@@ -19,30 +19,32 @@ let run ?(runs = 20) ?(base_seed = 1000) ?(law = Exec.Timing_law.Uniform)
     (design : Design.t).Design.cost engine
   in
   let seeds = Array.init runs (fun i -> base_seed + i) in
-  (* the schedule digest is the expensive key part; compute it once *)
+  (* Both keys are computed here, before the map: the closure below
+     runs on several domains at once, and forcing one shared [Lazy.t]
+     from two domains raises [CamlinternalLazy.Undefined].  The
+     schedule digest is the expensive key part; compute it once. *)
   let problem_key =
-    lazy
-      (match cache with
-      | None -> ""
-      | Some _ ->
-          Explore.Key.digest
-            [
-              "scilife.montecarlo";
-              design.Design.name;
-              Explore.Key.float design.Design.ts;
-              Explore.Key.float design.Design.horizon;
-              Explore.Key.schedule implementation.Methodology.schedule;
-              Explore.Key.law law;
-              Explore.Key.float bcet_frac;
-            ])
+    match cache with
+    | None -> ""
+    | Some _ ->
+        Explore.Key.digest
+          [
+            "scilife.montecarlo";
+            design.Design.name;
+            Explore.Key.float design.Design.ts;
+            Explore.Key.float design.Design.horizon;
+            Explore.Key.schedule implementation.Methodology.schedule;
+            Explore.Key.law law;
+            Explore.Key.float bcet_frac;
+          ]
   in
   (* per-seed evaluation reuses the calling domain's compiled session
      (reseed + reset, bit-for-bit equal to the rebuild [cost_with]
      did here before — the Session determinism contract) *)
-  let skey = lazy (Session.key ~law ~bcet_frac ~design ~implementation ()) in
+  let skey = Session.key ~law ~bcet_frac ~design ~implementation () in
   let session_cost seed =
     let s =
-      Session.obtain ~key:(Lazy.force skey) ~create:(fun () ->
+      Session.obtain ~key:skey ~create:(fun () ->
           Session.create ~law ~bcet_frac ~design ~implementation ())
     in
     Session.cost s ~seed
@@ -52,7 +54,7 @@ let run ?(runs = 20) ?(base_seed = 1000) ?(law = Exec.Timing_law.Uniform)
     | None -> session_cost seed
     | Some c ->
         Explore.Cache.find_or_add c
-          ~key:(Explore.Key.digest [ Lazy.force problem_key; Explore.Key.int seed ])
+          ~key:(Explore.Key.digest [ problem_key; Explore.Key.int seed ])
           (fun () -> session_cost seed)
   in
   let costs = Array.of_list (Explore.Pool.map pool cost_of (Array.to_list seeds)) in

@@ -12,11 +12,13 @@
 #   BASELINE        baseline file       (default BENCH_BASELINE.json)
 #   TOLERANCE       warn threshold      (default 0.5  = +50 %)
 #   GATE_TOLERANCE  failing threshold   (default 0.25 = +25 %)
-#   GATE_PATTERN    benches the gate fails on (default sim_hot_loop plus
-#                   explore_throughput — the stable simulation kernels
-#                   and the cold exploration pipeline; everything else
-#                   only warns, shared CI runners are too noisy for the
-#                   rest.  explore_throughput$ is anchored so the warm
+#   GATE_PATTERN    benches the gate fails on (default sim_hot_loop,
+#                   explore_throughput and adequation_scaling — the
+#                   stable simulation kernels, the cold exploration
+#                   pipeline and the adequation curve that guards the
+#                   route-search cliff; everything else only warns,
+#                   shared CI runners are too noisy for the rest.
+#                   explore_throughput$ is anchored so the warm
 #                   cache-replay variant, whose first run pays the lazy
 #                   cache fill, stays warn-only)
 #   GATE_MIN_RUNS   samples required for a gated verdict (default 5)
@@ -29,7 +31,7 @@ set -eu
 baseline=${BASELINE:-BENCH_BASELINE.json}
 tol=${TOLERANCE:-0.5}
 gate_tol=${GATE_TOLERANCE:-0.25}
-gate=${GATE_PATTERN:-"sim_hot_loop|explore_throughput$"}
+gate=${GATE_PATTERN:-"sim_hot_loop|explore_throughput$|adequation_scaling"}
 min_runs=${GATE_MIN_RUNS:-5}
 
 for f in "$@" "$baseline"; do

@@ -803,6 +803,34 @@ let engine_tests =
         let second = cached () in
         check_true "replayed" (first.Lifecycle.Montecarlo.costs = second.Lifecycle.Montecarlo.costs);
         check_true "hits" ((Cache.stats cache).Cache.hits >= 6));
+    test "Montecarlo.run on two domains equals one domain, run after run" (fun () ->
+        (* both domains start on their first seed at once: any key the
+           map closure computes lazily would be forced from two domains
+           together, which raises [CamlinternalLazy.Undefined] *)
+        let design = dc_design () in
+        let implementation =
+          Lifecycle.Methodology.implement ~design ~architecture:(Arch.single ())
+            ~durations:((grid_platform ()).Grid.durations_of 0.6)
+            ()
+        in
+        let bits (s : Lifecycle.Montecarlo.summary) =
+          Array.map Int64.bits_of_float s.Lifecycle.Montecarlo.costs
+        in
+        let run ?cache pool =
+          bits
+            (Lifecycle.Montecarlo.run ~runs:4 ~base_seed:900 ~pool ?cache ~design
+               ~implementation ())
+        in
+        let one = Pool.with_pool ~domains:1 run in
+        Pool.with_pool ~domains:2 (fun pool ->
+            for i = 1 to 10 do
+              Lifecycle.Session.clear_cached ();
+              Alcotest.(check (array int64)) (Printf.sprintf "run %d" i) one (run pool);
+              Alcotest.(check (array int64))
+                (Printf.sprintf "run %d, cached" i)
+                one
+                (run ~cache:(Cache.create ()) pool)
+            done));
     test "Robustness.evaluate is pool-invariant" (fun () ->
         let design = dc_design () in
         let architecture =
