@@ -685,39 +685,81 @@ let bench_absint_fixpoint =
     (Staged.stage (fun () -> ignore (Verify.Absint.analyze absint_graph)))
 
 (* ------------------------------------------------------------------ *)
-(* adequation_scaling: one adequation of the networked fork-join
-   workload (adc → 2N filters → fusion → dac on N processors sharing
-   one bus, as in [experiments networked]) at N = 8, 16, 32, 64.  A
-   curve rather than a point because the route search's cliff only
-   shows as one.  Timed directly — the median of at least 3 runs and
-   at least 0.5 s — since one N = 64 run outlasts the Bechamel
-   quota. *)
+(* Scaling curves over the networked fork-join workload (adc → 2N
+   filters → fusion → dac on N processors sharing one bus, as in
+   [experiments networked]).  Curves rather than points because this
+   codebase's cliffs only show as curves.  Timed directly — the median
+   of at least 3 runs and at least 0.5 s — since one large run
+   outlasts the Bechamel quota. *)
 
-let adequation_scaling_points = [ 8; 16; 32; 64 ]
+let median_ns once =
+  let time () =
+    let t0 = Unix.gettimeofday () in
+    once ();
+    Unix.gettimeofday () -. t0
+  in
+  let rec collect acc count elapsed =
+    if count >= 3 && elapsed >= 0.5 then acc
+    else
+      let t = time () in
+      collect (t :: acc) (count + 1) (elapsed +. t)
+  in
+  let samples = Array.of_list (collect [] 0 0.) in
+  Array.sort compare samples;
+  samples.(Array.length samples / 2) *. 1e9
 
-let adequation_scaling_name n = Printf.sprintf "adequation_scaling_n%d" n
-
-let adequation_scaling_ns n =
+let networked n =
   let procs = List.init n (Printf.sprintf "N%d") in
   let architecture = Arch.bus_topology ~time_per_word:0.0002 procs in
   let algorithm, durations =
     Aaa.Workloads.fork_join ~period:0.05 ~sensor_wcet:0.002 ~branch_wcet:0.004
       ~fusion_wcet:0.003 ~branches:(2 * n) ~operators:procs ()
   in
-  let once () =
-    let t0 = Unix.gettimeofday () in
-    ignore (Aaa.Adequation.run ~algorithm ~architecture ~durations ());
-    Unix.gettimeofday () -. t0
+  (architecture, algorithm, durations)
+
+(* adequation_scaling: one adequation, N = 8, 16, 32, 64 — the route
+   search's cliff *)
+let adequation_scaling_ns n =
+  let architecture, algorithm, durations = networked n in
+  median_ns (fun () -> ignore (Aaa.Adequation.run ~algorithm ~architecture ~durations ()))
+
+(* exec_networked_scaling: [Exec.Machine.run] alone, 60 iterations over
+   the bus loaded with one chatter stream per third node at about 28 %
+   background utilization, N = 8, 16, 32 *)
+let exec_networked_scaling_ns n =
+  let architecture, algorithm, durations = networked n in
+  let exe = Aaa.Codegen.generate (Aaa.Adequation.run ~algorithm ~architecture ~durations ()) in
+  let chatterers = List.filter (fun i -> i mod 3 = 0) (List.init n Fun.id) in
+  let load =
+    List.map
+      (fun node ->
+        Media.Load.periodic ~jitter_frac:0.3 ~node ~ident:(10 + node) ~words:4
+          ~period:(0.01 *. float_of_int (List.length chatterers))
+          ())
+      chatterers
   in
-  let rec collect acc count elapsed =
-    if count >= 3 && elapsed >= 0.5 then acc
-    else
-      let t = once () in
-      collect (t :: acc) (count + 1) (elapsed +. t)
+  let bus =
+    Media.Bus.make ~name:"bus" ~time_per_word:0.0002 ~frame_overhead:0.002 ~max_wait:0.5
+      ~seed:7 ~load ()
   in
-  let samples = Array.of_list (collect [] 0 0.) in
-  Array.sort compare samples;
-  samples.(Array.length samples / 2) *. 1e9
+  let config =
+    {
+      Exec.Machine.default_config with
+      iterations = 60;
+      durations = Some durations;
+      bus_models = [ ("bus", bus) ];
+    }
+  in
+  median_ns (fun () -> ignore (Exec.Machine.run ~config exe))
+
+let curves =
+  List.concat_map
+    (fun (prefix, points, ns) ->
+      List.map (fun n -> (Printf.sprintf "%s_n%d" prefix n, fun () -> ns n)) points)
+    [
+      ("adequation_scaling", [ 8; 16; 32; 64 ], adequation_scaling_ns);
+      ("exec_networked_scaling", [ 8; 16; 32 ], exec_networked_scaling_ns);
+    ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -788,18 +830,17 @@ let dump_json results =
   | None -> ()
   | Some path ->
       let oc = open_out path in
-      let scaling = List.map adequation_scaling_name adequation_scaling_points in
       let row (name, t_ns) =
-        (* explore benches also report throughput, the adequation curve
-           the host it ran on; extra fields after time_ns are ignored by
-           scripts/compare_bench.sh *)
+        (* explore benches also report throughput, the scaling curves
+           the host they ran on; extra fields after time_ns are ignored
+           by scripts/compare_bench.sh *)
         match List.assoc_opt name explore_candidates with
         | Some n when t_ns > 0. ->
             Printf.sprintf
               "  {\"name\": %S, \"time_ns\": %.1f, \"candidates_per_sec\": %.1f}"
               name t_ns
               (float_of_int n /. (t_ns /. 1e9))
-        | _ when List.mem name scaling ->
+        | _ when List.mem_assoc name curves ->
             Printf.sprintf "  {\"name\": %S, \"time_ns\": %.1f, \"nproc\": %d, \"ocaml\": %S}"
               name t_ns (Domain.recommended_domain_count ()) Sys.ocaml_version
         | _ -> Printf.sprintf "  {\"name\": %S, \"time_ns\": %.1f}" name t_ns
@@ -843,12 +884,11 @@ let () =
         raw)
     tests;
   List.iter
-    (fun n ->
-      let name = adequation_scaling_name n in
+    (fun (name, ns) ->
       if selected name then begin
-        let t_ns = adequation_scaling_ns n in
+        let t_ns = ns () in
         results := (name, t_ns) :: !results;
         Printf.printf "%-34s %16s %10s\n%!" name (pretty_ns t_ns) "-"
       end)
-    adequation_scaling_points;
+    curves;
   dump_json !results

@@ -131,32 +131,38 @@ let run ?(strategy = Pressure) ?(pins = []) ~algorithm ~architecture ~durations 
                 (Printf.sprintf "Adequation: unknown pinned operator %S" operator_name)
           | Some operator -> Hashtbl.replace pin_table (oi op) operator))
     pins;
-  let allowed op =
-    let name = Algorithm.op_name algorithm op in
-    let ok =
-      List.filter
-        (fun operator ->
-          Durations.can_run durations ~op:name
-            ~operator:(Architecture.operator_name architecture operator))
-        operator_ids
-    in
-    match Hashtbl.find_opt pin_table (oi op) with
-    | Some pinned ->
-        if List.mem pinned ok then [ pinned ]
-        else
-          infeasible "operation %S is pinned to %S where it has no WCET" name
-            (Architecture.operator_name architecture pinned)
-    | None -> if ok = [] then infeasible "operation %S cannot run on any operator" name else ok
-  in
-  let wcet_of op operator =
-    match
-      Durations.wcet durations
-        ~op:(Algorithm.op_name algorithm op)
-        ~operator:(Architecture.operator_name architecture operator)
-    with
-    | Some w -> w
-    | None -> assert false (* filtered by [allowed] *)
-  in
+  (* each regular operation's allowed operators and their WCETs,
+     resolved once so the scheduling loop makes no string-keyed lookup *)
+  let allowed = Array.make n [] in
+  let wcets = Array.make_matrix n (Architecture.operator_count architecture) 0. in
+  List.iter
+    (fun op ->
+      if Algorithm.op_kind algorithm op <> Algorithm.Memory then begin
+        let name = Algorithm.op_name algorithm op in
+        let ok =
+          List.filter
+            (fun operator ->
+              match
+                Durations.wcet durations ~op:name
+                  ~operator:(Architecture.operator_name architecture operator)
+              with
+              | Some w ->
+                  wcets.(oi op).(pi operator) <- w;
+                  true
+              | None -> false)
+            operator_ids
+        in
+        allowed.(oi op) <-
+          (match Hashtbl.find_opt pin_table (oi op) with
+          | Some pinned ->
+              if List.mem pinned ok then [ pinned ]
+              else
+                infeasible "operation %S is pinned to %S where it has no WCET" name
+                  (Architecture.operator_name architecture pinned)
+          | None ->
+              if ok = [] then infeasible "operation %S cannot run on any operator" name else ok)
+      end)
+    (Algorithm.ops algorithm);
   let placed : placed option array = Array.make n None in
   let place op p = placed.(oi op) <- Some p in
   let placement op = placed.(oi op) in
@@ -253,8 +259,7 @@ let run ?(strategy = Pressure) ?(pins = []) ~algorithm ~architecture ~durations 
     if not !feasible then None
     else begin
       let start = Float.max operator_avail.(pi operator) !arrival in
-      let wcet = wcet_of op operator in
-      Some (start, start +. wcet)
+      Some (start, start +. wcets.(oi op).(pi operator))
     end
   in
   let total_regular =
@@ -276,7 +281,7 @@ let run ?(strategy = Pressure) ?(pins = []) ~algorithm ~architecture ~durations 
                       | None -> Some (operator, est, eft)
                       | Some (_, _, beft) ->
                           if eft < beft then Some (operator, est, eft) else best))
-                None (allowed op)
+                None allowed.(oi op)
             in
             match best with
             | None ->

@@ -20,6 +20,9 @@ type comm_slot = {
 let read_offset c = c.cm_read
 let retry_slack c = c.cm_read -. (c.cm_start +. c.cm_duration)
 
+let slot_key c =
+  ((fst c.cm_src :> int), snd c.cm_src, (fst c.cm_dst :> int), snd c.cm_dst, c.cm_hop)
+
 type t = {
   algorithm : Algorithm.t;
   architecture : Architecture.t;

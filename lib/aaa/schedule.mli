@@ -42,6 +42,11 @@ val retry_slack : comm_slot -> float
 (** [cm_read - (cm_start + cm_duration)]: the slack reserved between a
     transfer's completion and its planned read. *)
 
+val slot_key : comm_slot -> int * int * int * int * int
+(** The identity of one hop of a transfer within one iteration:
+    source (operation, port), destination (operation, port) and hop.
+    The executives key their per-transfer state by it. *)
+
 type t = {
   algorithm : Algorithm.t;
   architecture : Architecture.t;

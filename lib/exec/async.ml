@@ -46,15 +46,8 @@ type trace = {
   bus_log : (string * Media.Bus.completion list) list;
 }
 
-let slot_key (c : Sched.comm_slot) =
-  ( (fst c.Sched.cm_src :> int),
-    snd c.Sched.cm_src,
-    (fst c.Sched.cm_dst :> int),
-    snd c.Sched.cm_dst,
-    c.Sched.cm_hop )
-
 let prev_key c =
-  let a, b, d, e, hop = slot_key c in
+  let a, b, d, e, hop = Sched.slot_key c in
   (a, b, d, e, hop - 1)
 
 let run ?(config = default_config) exe =
@@ -177,7 +170,7 @@ let run ?(config = default_config) exe =
                 if
                   not
                     (have_inj && inj.Injection.operator_failed ~operator ~time:!time)
-                then (table posted (slot_key c)).(k) <- !time
+                then (table posted (Sched.slot_key c)).(k) <- !time
             | Cg.Recv c ->
                 (* time-triggered read at the planned read offset —
                    completion plus any slack the schedule inserted for
@@ -185,8 +178,8 @@ let run ?(config = default_config) exe =
                 let planned = base +. c.Sched.cm_read in
                 let t_read = Float.max !time planned in
                 time := t_read;
-                Hashtbl.replace slot_of_key (slot_key c) c;
-                (table read_at (slot_key c)).(k) <- t_read)
+                Hashtbl.replace slot_of_key (Sched.slot_key c) c;
+                (table read_at (Sched.slot_key c)).(k) <- t_read)
           body
       done)
     exe.Cg.programs;
@@ -253,7 +246,7 @@ let run ?(config = default_config) exe =
                 comp.Media.Bus.c_dropped )
       in
       let ready =
-        if c.Sched.cm_hop = 0 then (table posted (slot_key c)).(k)
+        if c.Sched.cm_hop = 0 then (table posted (Sched.slot_key c)).(k)
         else (table arrival (prev_key c)).(k)
       in
       let data_ready = (not (Float.is_nan ready)) && ready <= start +. 1e-12 in
@@ -317,7 +310,7 @@ let run ?(config = default_config) exe =
         if !delivered then incr recovered_transfers else incr lost_transfers;
       clock := !t_done;
       if !delivered && data_ready then
-        (table arrival (slot_key c)).(k) <-
+        (table arrival (Sched.slot_key c)).(k) <-
           (match bus with
           | Some _ ->
               (* bus timing already includes the jittered frame time *)

@@ -72,24 +72,48 @@ type trace = {
   continuation : trace option;
 }
 
-(* identity of one hop of a transfer within one iteration *)
-let slot_key (c : Sched.comm_slot) =
-  ( (fst c.Sched.cm_src :> int),
-    snd c.Sched.cm_src,
-    (fst c.Sched.cm_dst :> int),
-    snd c.Sched.cm_dst,
-    c.Sched.cm_hop )
+(* A run resolves the executive once, before its first step.  Every
+   transfer hop gets a dense slot number, so the per-iteration tables
+   are flat arrays indexed by [slot * iterations + k].  Operator
+   programs become instructions that carry what a step needs (an
+   [Exec]'s WCET and BCET, a [Send]'s or [Recv]'s slot); medium
+   programs become transfers that carry their own slot, the slot they
+   wait on, their bus identifier and their medium's name. *)
+
+type instr =
+  | Wait_period
+  | Exec of {
+      op : Alg.op_id;
+      name : string;
+      cond : Alg.condition option;
+      wcet : float;
+      bcet : float;
+    }
+  | Send of int
+  | Recv of { slot : int; consumer : string }
+
+type transfer = {
+  tr_comm : Sched.comm_slot;
+  tr_slot : int;
+  tr_prev : int;
+      (* hop 0 waits on its own post, a later hop on the previous hop's
+         completion; a stale payload is inherited from the same slot *)
+  tr_ident : int;
+  tr_medium : string;
+  tr_bus : Media.Bus.t option;
+}
 
 type operator_state = {
   os_id : Arch.operator_id;
-  os_program : Cg.instr array;
+  os_name : string;
+  os_program : instr array;
   mutable os_pc : int;
   mutable os_iter : int;
   mutable os_time : float;
 }
 
 type medium_state = {
-  ms_transfers : Sched.comm_slot array;
+  ms_transfers : transfer array;
   mutable ms_index : int;
   mutable ms_iter : int;
   mutable ms_time : float;
@@ -101,34 +125,8 @@ let run_single ~(config : config) exe =
   let alg = sched.Sched.algorithm in
   let arch = sched.Sched.architecture in
   let period = Alg.period alg in
+  let iterations = config.iterations in
   let rng = Numerics.Rng.create config.seed in
-  let posted : (int * int * int * int * int, float array) Hashtbl.t = Hashtbl.create 64 in
-  let finished : (int * int * int * int * int, float array) Hashtbl.t = Hashtbl.create 64 in
-  let slot_table kind table key =
-    match Hashtbl.find_opt table key with
-    | Some arr -> arr
-    | None ->
-        let arr = Array.make config.iterations Float.nan in
-        Hashtbl.replace table key arr;
-        ignore kind;
-        arr
-  in
-  let operators =
-    List.map
-      (fun (operator, body) ->
-        { os_id = operator; os_program = Array.of_list body; os_pc = 0; os_iter = 0; os_time = 0. })
-      exe.Cg.programs
-  in
-  let media =
-    List.map
-      (fun (_, transfers) ->
-        { ms_transfers = Array.of_list transfers; ms_index = 0; ms_iter = 0; ms_time = 0. })
-      exe.Cg.media_programs
-  in
-  let ops_log = ref [] in
-  let comms_log = ref [] in
-  let inj = config.injection in
-  let have_inj = not (Injection.is_none inj) in
   (* shared-bus models: one fresh Media.Bus.t per modeled medium per
      run (each phase of a failover run gets its own, in its own frame) *)
   let buses =
@@ -155,49 +153,107 @@ let run_single ~(config : config) exe =
     end
   in
   let have_bus = Array.length buses > 0 in
-  let bus_of mid = if have_bus then buses.(mid) else None in
-  let pol = config.recovery in
-  let retrans_on = have_inj && Recovery.retransmission_enabled pol in
+  let slots = Hashtbl.create 64 in
+  let slot_of key =
+    match Hashtbl.find_opt slots key with
+    | Some i -> i
+    | None ->
+        let i = Hashtbl.length slots in
+        Hashtbl.add slots key i;
+        i
+  in
+  let resolve_instr operator = function
+    | Cg.Wait_period -> Wait_period
+    | Cg.Exec op ->
+        (* the WCET is the planned slot length; the BCET comes from the
+           durations table when provided, else from [bcet_frac] *)
+        let wcet =
+          match List.find_opt (fun s -> s.Sched.cs_op = op) sched.Sched.comp with
+          | Some s -> s.Sched.cs_duration
+          | None -> 0.
+        in
+        let bcet =
+          let from_table =
+            Option.bind config.durations (fun table ->
+                Aaa.Durations.bcet table ~op:(Alg.op_name alg op)
+                  ~operator:(Arch.operator_name arch operator))
+          in
+          match from_table with
+          | Some b -> Float.min b wcet
+          | None -> config.bcet_frac *. wcet
+        in
+        Exec { op; name = Alg.op_name alg op; cond = Alg.op_cond alg op; wcet; bcet }
+    | Cg.Send c -> Send (slot_of (Sched.slot_key c))
+    | Cg.Recv c ->
+        Recv
+          { slot = slot_of (Sched.slot_key c); consumer = Alg.op_name alg (fst c.Sched.cm_dst) }
+  in
+  let resolve_transfer c =
+    let ((a, b, d, e, hop) as key) = Sched.slot_key c in
+    let slot = slot_of key in
+    {
+      tr_comm = c;
+      tr_slot = slot;
+      tr_prev = (if hop = 0 then slot else slot_of (a, b, d, e, hop - 1));
+      tr_ident = Media.Bus.slot_identifier c;
+      tr_medium = Arch.medium_name arch c.Sched.cm_medium;
+      tr_bus = (if have_bus then buses.((c.Sched.cm_medium :> int)) else None);
+    }
+  in
+  let operators =
+    List.map
+      (fun (operator, body) ->
+        {
+          os_id = operator;
+          os_name = Arch.operator_name arch operator;
+          os_program = Array.of_list (List.map (resolve_instr operator) body);
+          os_pc = 0;
+          os_iter = 0;
+          os_time = 0.;
+        })
+      exe.Cg.programs
+  in
+  let media =
+    List.map
+      (fun (_, transfers) ->
+        {
+          ms_transfers = Array.of_list (List.map resolve_transfer transfers);
+          ms_index = 0;
+          ms_iter = 0;
+          ms_time = 0.;
+        })
+      exe.Cg.media_programs
+  in
+  let cells = Hashtbl.length slots * iterations in
+  let posted = Array.make cells Float.nan in
+  let finished = Array.make cells Float.nan in
   (* per hop instance: the payload carried is stale (lost somewhere
      upstream); the slot itself always fires, so injected faults never
      block the executive *)
-  let lost : (int * int * int * int * int, bool array) Hashtbl.t = Hashtbl.create 16 in
-  let lost_arr key =
-    match Hashtbl.find_opt lost key with
-    | Some a -> a
-    | None ->
-        let a = Array.make config.iterations false in
-        Hashtbl.replace lost key a;
-        a
-  in
+  let lost = Array.make cells false in
+  let ops_log = ref [] in
+  let comms_log = ref [] in
+  let inj = config.injection in
+  let have_inj = not (Injection.is_none inj) in
+  let pol = config.recovery in
+  let retrans_on = have_inj && Recovery.retransmission_enabled pol in
   let lost_transfers = ref 0 and stale_reads = ref 0 in
   let retransmissions = ref 0 and recovered_transfers = ref 0 in
   let events = ref [] in
   (* retransmissions already spent, per medium and iteration *)
-  let retry_used : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
-  let operator_dead os =
-    have_inj
-    && inj.Injection.operator_failed ~operator:(Arch.operator_name arch os.os_id)
-         ~time:os.os_time
+  let retry_used =
+    Array.make (if retrans_on then Arch.medium_count arch * iterations else 0) 0
   in
-  let sample_exec_duration op operator =
-    (* the WCET is the planned slot length; the BCET comes from the
-       durations table when provided, else from [bcet_frac] *)
-    let wcet =
-      match List.find_opt (fun s -> s.Sched.cs_op = op) sched.Sched.comp with
-      | Some s -> s.Sched.cs_duration
-      | None -> 0.
-    in
-    let bcet =
-      let from_table =
-        Option.bind config.durations (fun table ->
-            Aaa.Durations.bcet table ~op:(Alg.op_name alg op)
-              ~operator:(Arch.operator_name arch operator))
-      in
-      match from_table with
-      | Some b -> Float.min b wcet
-      | None -> config.bcet_frac *. wcet
-    in
+  let mark_lost cell =
+    if not lost.(cell) then begin
+      lost.(cell) <- true;
+      incr lost_transfers
+    end
+  in
+  let operator_dead os =
+    have_inj && inj.Injection.operator_failed ~operator:os.os_name ~time:os.os_time
+  in
+  let sample_exec_duration ~wcet ~bcet =
     let nominal = Timing_law.sample config.law rng ~bcet ~wcet in
     if config.overrun_prob > 0. && Numerics.Rng.float rng 1. < config.overrun_prob then
       nominal *. config.overrun_factor
@@ -212,16 +268,16 @@ let run_single ~(config : config) exe =
   in
   (* one attempt to advance an operator; returns true on progress *)
   let step_operator os =
-    if os.os_iter >= config.iterations then false
+    if os.os_iter >= iterations then false
     else
       match os.os_program.(os.os_pc) with
-      | Cg.Wait_period ->
+      | Wait_period ->
           os.os_time <- Float.max os.os_time (float_of_int os.os_iter *. period);
           os.os_pc <- os.os_pc + 1;
           true
-      | Cg.Exec op ->
+      | Exec { op; name; cond; wcet; bcet } ->
           let skipped =
-            match Alg.op_cond alg op with
+            match cond with
             | None -> false
             | Some { Alg.var; value } -> config.condition ~iteration:os.os_iter ~var <> value
           in
@@ -230,11 +286,9 @@ let run_single ~(config : config) exe =
           let finish =
             if skipped || failed then start
             else begin
-              let d = sample_exec_duration op os.os_id in
+              let d = sample_exec_duration ~wcet ~bcet in
               match
-                if have_inj then
-                  inj.Injection.overrun ~iteration:os.os_iter ~op:(Alg.op_name alg op)
-                else None
+                if have_inj then inj.Injection.overrun ~iteration:os.os_iter ~op:name else None
               with
               | Some factor -> start +. (d *. factor)
               | None -> start +. d
@@ -254,36 +308,26 @@ let run_single ~(config : config) exe =
             :: !ops_log;
           os.os_pc <- os.os_pc + 1;
           true
-      | Cg.Send c ->
-          let arr = slot_table `Posted posted (slot_key c) in
-          arr.(os.os_iter) <- os.os_time;
+      | Send slot ->
+          let cell = (slot * iterations) + os.os_iter in
+          posted.(cell) <- os.os_time;
           (* a dead producer posts instantly, but the value it posts is
              the previous iteration's (its outputs are frozen) *)
-          if operator_dead os then begin
-            let la = lost_arr (slot_key c) in
-            if not la.(os.os_iter) then begin
-              la.(os.os_iter) <- true;
-              incr lost_transfers
-            end
-          end;
+          if operator_dead os then mark_lost cell;
           os.os_pc <- os.os_pc + 1;
           true
-      | Cg.Recv c ->
-          let arr = slot_table `Finished finished (slot_key c) in
-          let t = arr.(os.os_iter) in
+      | Recv { slot; consumer } ->
+          let cell = (slot * iterations) + os.os_iter in
+          let t = finished.(cell) in
           if Float.is_nan t then false
           else begin
             os.os_time <- Float.max os.os_time t;
-            if (have_inj || have_bus) && (lost_arr (slot_key c)).(os.os_iter) then begin
+            if (have_inj || have_bus) && lost.(cell) then begin
               incr stale_reads;
               if pol.Recovery.freshness_watchdog then
                 events :=
                   Recovery.Stale_detected
-                    {
-                      time = os.os_time;
-                      iteration = os.os_iter;
-                      op = Alg.op_name alg (fst c.Sched.cm_dst);
-                    }
+                    { time = os.os_time; iteration = os.os_iter; op = consumer }
                   :: !events
             end;
             os.os_pc <- os.os_pc + 1;
@@ -291,33 +335,29 @@ let run_single ~(config : config) exe =
           end
   in
   let wrap_operator os =
-    if os.os_iter < config.iterations && os.os_pc >= Array.length os.os_program then begin
+    if os.os_iter < iterations && os.os_pc >= Array.length os.os_program then begin
       os.os_iter <- os.os_iter + 1;
       os.os_pc <- 0
     end
   in
   let step_medium ms =
-    if ms.ms_iter >= config.iterations || Array.length ms.ms_transfers = 0 then false
+    if ms.ms_iter >= iterations || Array.length ms.ms_transfers = 0 then false
     else begin
-      let c = ms.ms_transfers.(ms.ms_index) in
+      let tr = ms.ms_transfers.(ms.ms_index) in
+      let c = tr.tr_comm in
+      let k = ms.ms_iter in
+      let cell = (tr.tr_slot * iterations) + k in
+      let prev_cell = (tr.tr_prev * iterations) + k in
       (* hop 0 waits for the producer's post; later hops wait for the
          previous hop's completion *)
-      let posted_arr =
-        if c.Sched.cm_hop = 0 then slot_table `Posted posted (slot_key c)
-        else
-          slot_table `Finished finished
-            (let a, b, cc, d, hop = slot_key c in
-             (a, b, cc, d, hop - 1))
-      in
-      let t_posted = posted_arr.(ms.ms_iter) in
+      let t_posted = (if c.Sched.cm_hop = 0 then posted else finished).(prev_cell) in
       if Float.is_nan t_posted then false
       else begin
-        let bus = bus_of (c.Sched.cm_medium :> int) in
         (* with a bus model attached, the transfer becomes a frame
            arbitrating against the bus's other traffic; without one,
            the fixed-duration path below is bit-for-bit the original *)
         let start, finish0, bus_dropped =
-          match bus with
+          match tr.tr_bus with
           | None ->
               let start = Float.max ms.ms_time t_posted in
               (start, start +. sample_comm_duration c.Sched.cm_duration, false)
@@ -330,53 +370,32 @@ let run_single ~(config : config) exe =
                    elapses (no bus occupancy) so the Recv unblocks *)
                 (release, release +. duration, true)
               else
-                let comp =
-                  Media.Bus.transmit b ~ident:(Media.Bus.slot_identifier c)
-                    ~node ~release ~duration
-                in
+                let comp = Media.Bus.transmit b ~ident:tr.tr_ident ~node ~release ~duration in
                 ( comp.Media.Bus.c_start,
                   comp.Media.Bus.c_finish,
                   comp.Media.Bus.c_dropped )
         in
         let finish = ref finish0 in
-        if bus_dropped then begin
-          let la = lost_arr (slot_key c) in
-          if not la.(ms.ms_iter) then begin
-            la.(ms.ms_iter) <- true;
-            incr lost_transfers
-          end
-        end;
+        if bus_dropped then mark_lost cell;
         if have_inj || have_bus then begin
-          let inherited =
-            let key =
-              if c.Sched.cm_hop = 0 then slot_key c
-              else
-                let a, b, d, e, hop = slot_key c in
-                (a, b, d, e, hop - 1)
-            in
-            (lost_arr key).(ms.ms_iter)
-          in
-          let medium_name = Arch.medium_name arch c.Sched.cm_medium in
           let dropped =
             have_inj
-            && (inj.Injection.medium_down ~medium:medium_name ~time:start
-               || inj.Injection.transfer_lost ~iteration:ms.ms_iter ~slot:c)
+            && (inj.Injection.medium_down ~medium:tr.tr_medium ~time:start
+               || inj.Injection.transfer_lost ~iteration:k ~slot:c)
           in
-          if inherited then
+          if lost.(prev_cell) then
             (* stale at the source (or already dropped by the bus): a
                retransmission would resend the same stale payload, so
                the mark just propagates *)
-            (lost_arr (slot_key c)).(ms.ms_iter) <- true
+            lost.(cell) <- true
           else if dropped then begin
             (* bounded retransmission with exponential backoff; every
                retry extends the slot, consuming real medium time *)
             let delivered = ref false in
             let attempts = ref 0 in
             if retrans_on then begin
-              let mkey = ((c.Sched.cm_medium :> int), ms.ms_iter) in
-              let used =
-                ref (Option.value (Hashtbl.find_opt retry_used mkey) ~default:0)
-              in
+              let mcell = ((c.Sched.cm_medium :> int) * iterations) + k in
+              let used = ref retry_used.(mcell) in
               while
                 (not !delivered)
                 && !attempts < pol.Recovery.max_retries
@@ -391,15 +410,14 @@ let run_single ~(config : config) exe =
                 (* a retransmission re-arbitrates like any other frame
                    when a bus model is attached *)
                 let retry_bus_dropped =
-                  match bus with
+                  match tr.tr_bus with
                   | None ->
                       finish :=
                         retry_start +. sample_comm_duration c.Sched.cm_duration;
                       false
                   | Some b ->
                       let comp =
-                        Media.Bus.transmit b
-                          ~ident:(Media.Bus.slot_identifier c)
+                        Media.Bus.transmit b ~ident:tr.tr_ident
                           ~node:(c.Sched.cm_from :> int)
                           ~release:retry_start
                           ~duration:(sample_comm_duration c.Sched.cm_duration)
@@ -410,47 +428,46 @@ let run_single ~(config : config) exe =
                 delivered :=
                   not
                     (retry_bus_dropped
-                    || inj.Injection.medium_down ~medium:medium_name
+                    || inj.Injection.medium_down ~medium:tr.tr_medium
                          ~time:retry_start
                     || inj.Injection.retry_lost ~attempt:!attempts
-                         ~iteration:ms.ms_iter ~slot:c)
+                         ~iteration:k ~slot:c)
               done;
-              Hashtbl.replace retry_used mkey !used;
+              retry_used.(mcell) <- !used;
               events :=
                 (if !delivered then
                    Recovery.Transfer_recovered
                      {
                        time = !finish;
-                       iteration = ms.ms_iter;
-                       medium = medium_name;
+                       iteration = k;
+                       medium = tr.tr_medium;
                        attempts = !attempts;
                      }
                  else
                    Recovery.Retries_exhausted
                      {
                        time = !finish;
-                       iteration = ms.ms_iter;
-                       medium = medium_name;
+                       iteration = k;
+                       medium = tr.tr_medium;
                        attempts = !attempts;
                      })
                 :: !events
             end;
             if !delivered then incr recovered_transfers
             else begin
-              (lost_arr (slot_key c)).(ms.ms_iter) <- true;
+              lost.(cell) <- true;
               incr lost_transfers
             end
           end
         end;
-        let fin_arr = slot_table `Finished finished (slot_key c) in
-        fin_arr.(ms.ms_iter) <- !finish;
+        finished.(cell) <- !finish;
         ms.ms_time <- !finish;
         comms_log :=
-          { ce_iteration = ms.ms_iter; ce_slot = c; ce_start = start; ce_finish = !finish }
+          { ce_iteration = k; ce_slot = c; ce_start = start; ce_finish = !finish }
           :: !comms_log;
         if ms.ms_index + 1 >= Array.length ms.ms_transfers then begin
           ms.ms_index <- 0;
-          ms.ms_iter <- ms.ms_iter + 1
+          ms.ms_iter <- k + 1
         end
         else ms.ms_index <- ms.ms_index + 1;
         true
@@ -458,21 +475,20 @@ let run_single ~(config : config) exe =
     end
   in
   let all_done () =
-    List.for_all (fun os -> os.os_iter >= config.iterations) operators
+    List.for_all (fun os -> os.os_iter >= iterations) operators
     && List.for_all
-         (fun ms -> ms.ms_iter >= config.iterations || Array.length ms.ms_transfers = 0)
+         (fun ms -> ms.ms_iter >= iterations || Array.length ms.ms_transfers = 0)
          media
   in
   let describe_blocked () =
     let operator_desc =
       List.filter_map
         (fun os ->
-          if os.os_iter >= config.iterations then None
+          if os.os_iter >= iterations then None
           else
             Some
-              (Printf.sprintf "%s blocked at pc=%d (iteration %d)"
-                 (Arch.operator_name arch os.os_id)
-                 os.os_pc os.os_iter))
+              (Printf.sprintf "%s blocked at pc=%d (iteration %d)" os.os_name os.os_pc
+                 os.os_iter))
         operators
     in
     String.concat "; " operator_desc
@@ -497,7 +513,7 @@ let run_single ~(config : config) exe =
   drive ();
   let ops = List.rev !ops_log in
   let comms = List.rev !comms_log in
-  let iteration_end = Array.make config.iterations 0. in
+  let iteration_end = Array.make iterations 0. in
   List.iter
     (fun oe ->
       iteration_end.(oe.oe_iteration) <- Float.max iteration_end.(oe.oe_iteration) oe.oe_finish)
@@ -509,7 +525,7 @@ let run_single ~(config : config) exe =
   let bus_log =
     if not have_bus then []
     else begin
-      let horizon = float_of_int config.iterations *. period in
+      let horizon = float_of_int iterations *. period in
       List.filter_map
         (fun (mid : Arch.medium_id) ->
           match buses.((mid :> int)) with
@@ -523,7 +539,7 @@ let run_single ~(config : config) exe =
   {
     executive = exe;
     period;
-    iterations = config.iterations;
+    iterations;
     ops;
     comms;
     iteration_end;

@@ -99,6 +99,9 @@ type t = {
   cfg : config;
   streams : Load.stream array;
   next_k : int array;  (* per-stream next frame number to release *)
+  next_release : float array;
+      (* per-stream release instant of frame [next_k]; [Load.release]
+         is pure, so it is recomputed only when the cursor advances *)
   mutable free_at : float;  (* bus idle from this instant *)
   mutable queue : pending list;  (* released background frames *)
   mutable completions : completion list;  (* reverse chronological *)
@@ -113,6 +116,7 @@ let create cfg =
     cfg;
     streams;
     next_k = Array.make (Array.length streams) 0;
+    next_release = Array.mapi (fun i s -> Load.release ~seed:cfg.b_seed ~index:i s 0) streams;
     free_at = 0.;
     queue = [];
     completions = [];
@@ -137,8 +141,7 @@ let next_stream_release t =
   let best = ref infinity in
   Array.iteri
     (fun i s ->
-      let k = t.next_k.(i) in
-      let r = Load.release ~seed:t.cfg.b_seed ~index:i s k in
+      let r = t.next_release.(i) in
       if r < s.Load.l_until && r < !best then best := r)
     t.streams;
   !best
@@ -150,10 +153,11 @@ let refill t ~upto =
       let continue_ = ref true in
       while !continue_ do
         let k = t.next_k.(i) in
-        let r = Load.release ~seed:t.cfg.b_seed ~index:i s k in
+        let r = t.next_release.(i) in
         if r >= s.Load.l_until || r > upto then continue_ := false
         else begin
           t.next_k.(i) <- k + 1;
+          t.next_release.(i) <- Load.release ~seed:t.cfg.b_seed ~index:i s (k + 1);
           if not (node_off t ~node:s.Load.l_node ~time:r) then
             t.queue <-
               {

@@ -441,8 +441,8 @@ let mixed rng =
    optional memory feedback and an optional conditioned branch; each
    operation runs on a random non-empty subset of the operators with
    its own WCET there *)
-let random_problem rng arch =
-  let alg = Alg.create ~name:"rand" ~period:10. in
+let random_problem ?(period = 10.) rng arch =
+  let alg = Alg.create ~name:"rand" ~period in
   let layers = 2 + R.int rng 3 in
   let prev = ref [] in
   let all = ref [] in
