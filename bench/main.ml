@@ -510,6 +510,49 @@ let bench_serve_batch_rebuild =
              ignore (explore_design.Lifecycle.Design.cost engine))
            serve_seeds))
 
+(* session_cost: [Lifecycle.Session.cost] over 8 seeds on the serve
+   workload's PID / DC-motor document on 3 ECUs over a CAN bus (ts
+   0.04 s, 4 s horizon) — the co-simulation every Monte-Carlo run,
+   robustness scenario and explored candidate pays for, on one
+   compiled session (reseed + reset per seed). *)
+
+let session_cost_document =
+  "(lifecycle\n\
+  \  (design (name serve_dc3) (ts 0.04) (horizon 4) (cost iae y 0 1.0))\n\
+  \  (diagram\n\
+  \    (block (name plant) (type lti) (plant dc-motor) (x0 0 0))\n\
+  \    (block (name reference) (type const) (value 1))\n\
+  \    (block (name sample_y) (type sample-hold) (width 1))\n\
+  \    (block (name pid) (type pid) (kp 60) (ki 80) (kd 0) (ts 0.04))\n\
+  \    (block (name hold_u) (type sample-hold) (width 1))\n\
+  \    (link plant 0 sample_y 0) (link reference 0 pid 0) (link sample_y 0 pid 1)\n\
+  \    (link pid 0 hold_u 0) (link hold_u 0 plant 0)\n\
+  \    (members reference sample_y pid hold_u)\n\
+  \    (clocked sample_y pid hold_u)\n\
+  \    (probe y plant 0) (probe u hold_u 0))\n\
+  \  (architecture (name platform3) (operator ecu0) (operator ecu1) (operator ecu2)\n\
+  \    (bus (name can) (latency 0.0005) (rate 0.0004) (connects ecu0 ecu1 ecu2)))\n\
+  \  (durations (wcet reference * 0.0006) (wcet sample_y ecu0 0.003)\n\
+  \             (wcet pid * 0.006) (wcet hold_u ecu0 0.0024))\n\
+  \  (pins (pin sample_y ecu0) (pin hold_u ecu0)))\n"
+
+let session_cost_session =
+  let f = Lifecycle.Diagram.parse session_cost_document in
+  let design = f.Lifecycle.Diagram.design in
+  let implementation =
+    Lifecycle.Methodology.implement ~pins:f.Lifecycle.Diagram.pins ~design
+      ~architecture:f.Lifecycle.Diagram.architecture
+      ~durations:f.Lifecycle.Diagram.durations ()
+  in
+  Lifecycle.Session.create ~design ~implementation ()
+
+let bench_session_cost =
+  Test.make ~name:"session_cost"
+    (Staged.stage (fun () ->
+         for seed = 1000 to 1007 do
+           ignore (Lifecycle.Session.cost session_cost_session ~seed)
+         done))
+
 (* ------------------------------------------------------------------ *)
 (* simulation hot-loop micro-benches: the engine's two inner loops in
    isolation (event delivery and continuous integration), re-run on a
@@ -794,6 +837,7 @@ let tests =
     bench_explore_chunked_rebuild;
     bench_serve_batch_shared;
     bench_serve_batch_rebuild;
+    bench_session_cost;
     bench_sim_hot_loop_events;
     bench_sim_hot_loop_ode;
     bench_media_arbitration;
@@ -830,20 +874,21 @@ let dump_json results =
   | None -> ()
   | Some path ->
       let oc = open_out path in
+      let host =
+        Printf.sprintf "\"nproc\": %d, \"ocaml\": %S" (Domain.recommended_domain_count ())
+          Sys.ocaml_version
+      in
       let row (name, t_ns) =
-        (* explore benches also report throughput, the scaling curves
-           the host they ran on; extra fields after time_ns are ignored
-           by scripts/compare_bench.sh *)
-        match List.assoc_opt name explore_candidates with
-        | Some n when t_ns > 0. ->
-            Printf.sprintf
-              "  {\"name\": %S, \"time_ns\": %.1f, \"candidates_per_sec\": %.1f}"
-              name t_ns
-              (float_of_int n /. (t_ns /. 1e9))
-        | _ when List.mem_assoc name curves ->
-            Printf.sprintf "  {\"name\": %S, \"time_ns\": %.1f, \"nproc\": %d, \"ocaml\": %S}"
-              name t_ns (Domain.recommended_domain_count ()) Sys.ocaml_version
-        | _ -> Printf.sprintf "  {\"name\": %S, \"time_ns\": %.1f}" name t_ns
+        (* every row names the host it ran on, explore benches also
+           report throughput; extra fields after time_ns are ignored by
+           scripts/compare_bench.sh *)
+        let throughput =
+          match List.assoc_opt name explore_candidates with
+          | Some n when t_ns > 0. ->
+              Printf.sprintf ", \"candidates_per_sec\": %.1f" (float_of_int n /. (t_ns /. 1e9))
+          | _ -> ""
+        in
+        Printf.sprintf "  {\"name\": %S, \"time_ns\": %.1f%s, %s}" name t_ns throughput host
       in
       output_string oc
         ("[\n" ^ String.concat ",\n" (List.map row (List.rev results)) ^ "\n]\n");

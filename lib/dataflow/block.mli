@@ -118,12 +118,18 @@ type t = {
           algebraic-loop detection and output-evaluation ordering *)
   always_active : bool;
       (** outputs must be re-evaluated continuously (continuous and
-          memoryless blocks), as opposed to held between events *)
+          memoryless blocks), as opposed to held between events.  The
+          stored outputs are only guaranteed fresh at accepted
+          integration points and at event instants: inside the
+          integrator's intermediate stages the engine re-evaluates only
+          the always-active blocks some derivative reads *)
   outputs : context -> float array array;
       (** compute current outputs; must return [out_widths]-shaped data *)
   derivatives : (context -> float array) option;
       (** time derivative of [cstate]; required iff [cstate0] is
-          non-empty *)
+          non-empty.  The engine reads the returned array before the
+          block's next callback, so it may be a buffer the block reuses
+          from call to call, or one of [ctx.inputs] *)
   on_event : (context -> port:int -> action list) option;
       (** event-input handler; required iff [event_inputs > 0] *)
   surfaces : int;

@@ -142,7 +142,7 @@ let integrator ?(name = "integrator") x0 =
   Block.make ~name ~in_widths:[| n |] ~out_widths:[| n |] ~cstate0:(Array.copy x0)
     ~always_active:true
     ~transfer:(Block.Update { init = [| I.hull x0 |]; step; tracks_input = false })
-    ~derivatives:(fun ctx -> Array.copy ctx.Block.inputs.(0))
+    ~derivatives:(fun ctx -> ctx.Block.inputs.(0))
     (fun ctx -> [| Array.copy ctx.Block.cstate |])
 
 let lti_continuous ?name ?(split_inputs = false) ?(split_outputs = false) ~x0
@@ -159,9 +159,31 @@ let lti_continuous ?name ?(split_inputs = false) ?(split_outputs = false) ~x0
   let gather_u inputs = if split_inputs then Array.map (fun v -> v.(0)) inputs else inputs.(0) in
   let deliver_y y = if split_outputs then Array.map (fun v -> [| v |]) y else [| y |] in
   let feedthrough = M.norm_inf sys.d > 0. in
+  (* dx = A x + B u into one reused buffer, with the float operations of
+     [Control.Lti.deriv]: each row sum starts at 0 and adds its terms in
+     column order, then the two sums are added *)
+  let n = Array.length x0 in
+  let a = Array.init (n * n) (fun k -> M.get sys.a (k / n) (k mod n)) in
+  let b = Array.init (n * m) (fun k -> M.get sys.b (k / m) (k mod m)) in
+  let dx = Array.make n 0. in
+  let derivatives ctx =
+    let x = ctx.Block.cstate and inputs = ctx.Block.inputs in
+    for i = 0 to n - 1 do
+      let ax = ref 0. in
+      for j = 0 to n - 1 do
+        ax := !ax +. (a.((i * n) + j) *. x.(j))
+      done;
+      let bu = ref 0. in
+      for j = 0 to m - 1 do
+        let u = if split_inputs then inputs.(j).(0) else inputs.(0).(j) in
+        bu := !bu +. (b.((i * m) + j) *. u)
+      done;
+      dx.(i) <- !ax +. !bu
+    done;
+    dx
+  in
   Block.make ~name ~in_widths ~out_widths ~cstate0:(Array.copy x0) ~feedthrough
-    ~always_active:true
-    ~derivatives:(fun ctx -> Control.Lti.deriv sys ctx.Block.cstate (gather_u ctx.Block.inputs))
+    ~always_active:true ~derivatives
     (fun ctx -> deliver_y (Control.Lti.output sys ctx.Block.cstate (gather_u ctx.Block.inputs)))
 
 let state_feedback ?(name = "state_feedback") k =

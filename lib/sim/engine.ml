@@ -23,7 +23,10 @@ type probe_rec = { pr_block : int; pr_port : int; trace : Trace.t }
      whose outputs can drift with continuous state or time without
      being always-active ([drift_ids]) are re-marked at every instant;
    - integration uses {!Numerics.Ode.integrate_inplace} with a
-     persistent workspace and scratch state vectors.
+     persistent workspace and scratch state vectors, and its right-hand
+     side re-evaluates only the always-active blocks the derivatives
+     read ([rhs_ids]); the observer still refreshes all of them at every
+     accepted step.
 
    [debug = true] restores the seed semantics — a full output sweep at
    every delivery, the allocating integrator and per-call output-shape
@@ -61,6 +64,7 @@ type t = {
   validated : bool array; (* output shapes checked once *)
   (* integration scratch *)
   active_ids : int array; (* always-active blocks, in eval order *)
+  rhs_ids : int array; (* the subset the derivatives read, in eval order *)
   deriv_ids : int array; (* blocks with continuous state, by id *)
   surf_ids : int array; (* blocks with surfaces, by id *)
   with_surfaces : bool;
@@ -78,6 +82,7 @@ type t = {
   mutable probe_arr : probe_rec array; (* frozen at start, registration order *)
   mutable log : (float * int * int) list; (* (time, block id, port), reversed *)
   mutable nsteps : int;
+  mutable nrhs : int; (* right-hand-side evaluations *)
   mutable started : bool;
 }
 
@@ -209,6 +214,27 @@ let create ?(meth = Numerics.Ode.default_method) ?max_step ?(debug = false) grap
   let deriv_ids =
     Array.of_list (List.filter (fun id -> cs_len.(id) > 0) (List.init n Fun.id))
   in
+  (* the always-active blocks reachable backwards from a derivative's
+     inputs through always-active sources only.  A block that is not
+     always-active cuts the walk: no event fires during integration, so
+     its stored outputs stay constant there.  Every other always-active
+     block is read by no derivative, so skipping it in the right-hand
+     side changes no state; the observer refreshes it at each accepted
+     step. *)
+  let rhs_ids =
+    let read = Array.make n false in
+    let rec visit id =
+      Array.iter
+        (fun src ->
+          if blocks.(src).B.always_active && not read.(src) then begin
+            read.(src) <- true;
+            visit src
+          end)
+        in_src_block.(id)
+    in
+    Array.iter visit deriv_ids;
+    Array.of_list (List.filter (fun id -> read.(id)) (Array.to_list active_ids))
+  in
   let surf_ids =
     Array.of_list
       (List.filter (fun id -> blocks.(id).B.surfaces > 0) (List.init n Fun.id))
@@ -246,6 +272,7 @@ let create ?(meth = Numerics.Ode.default_method) ?max_step ?(debug = false) grap
       any_dirty = false;
       validated = Array.make n false;
       active_ids;
+      rhs_ids;
       deriv_ids;
       surf_ids;
       with_surfaces = Array.length surf_ids > 0;
@@ -263,6 +290,7 @@ let create ?(meth = Numerics.Ode.default_method) ?max_step ?(debug = false) grap
       probe_arr = [||];
       log = [];
       nsteps = 0;
+      nrhs = 0;
       started = false;
     }
   in
@@ -351,11 +379,12 @@ let refresh_dirty e time =
     e.any_dirty <- false
   end
 
-let eval_always_active e time =
-  let ids = e.active_ids in
+let eval_ids e time ids =
   for i = 0 to Array.length ids - 1 do
     eval_block e time ids.(i)
   done
+
+let eval_always_active e time = eval_ids e time e.active_ids
 
 let record_probes e time =
   let ps = e.probe_arr in
@@ -445,6 +474,7 @@ let process_instant e t =
 (* allocating right-hand side, as in the seed engine (debug mode) *)
 let make_rhs_alloc e =
   fun tt x ->
+    e.nrhs <- e.nrhs + 1;
     Array.blit x 0 e.cstate 0 e.total_cs;
     eval_always_active e tt;
     let dx = Array.make e.total_cs 0. in
@@ -463,8 +493,9 @@ let make_rhs_alloc e =
 let install_hot_closures e =
   e.rhs_ip <-
     (fun tt x ~dx ->
+      e.nrhs <- e.nrhs + 1;
       Array.blit x 0 e.cstate 0 e.total_cs;
-      eval_always_active e tt;
+      eval_ids e tt e.rhs_ids;
       let ids = e.deriv_ids in
       for i = 0 to Array.length ids - 1 do
         let id = ids.(i) in
@@ -670,6 +701,7 @@ let reset e =
   e.time <- 0.;
   e.log <- [];
   e.nsteps <- 0;
+  e.nrhs <- 0;
   e.started <- false;
   List.iter (fun (_, p) -> Trace.clear p.trace) e.probes
 
@@ -691,3 +723,5 @@ let activations e ~block =
     (List.filter_map (fun (t, i, _) -> if i = id then Some t else None) e.log)
 
 let steps e = e.nsteps
+
+let rhs_evals e = e.nrhs

@@ -37,7 +37,14 @@
       context and internal state, part of the {!Dataflow.Block}
       contract;
     - integration between events runs through
-      {!Numerics.Ode.integrate_inplace} with persistent workspaces.
+      {!Numerics.Ode.integrate_inplace} with persistent workspaces;
+      its right-hand side re-evaluates only the always-active blocks
+      that some derivative reads, directly or through other
+      always-active blocks (a block that is not always-active holds
+      its outputs during integration and ends the search).  The
+      integration observer still re-evaluates every always-active
+      block at each accepted step, so outputs and probes at accepted
+      points are those of the full sweep.
 
     All of this is observationally equivalent to the straightforward
     interpretation: traces, event logs and step counts are bit-for-bit
@@ -93,3 +100,8 @@ val activations : t -> block:Dataflow.Graph.block_id -> float list
 
 val steps : t -> int
 (** Number of event deliveries processed so far. *)
+
+val rhs_evals : t -> int
+(** Number of ODE right-hand-side evaluations since the last {!reset}
+    (or {!create}), integration-observer calls excluded.  The debug
+    and compiled paths make the same calls, so the counts agree. *)

@@ -13,9 +13,11 @@
 #   TOLERANCE       warn threshold      (default 0.5  = +50 %)
 #   GATE_TOLERANCE  failing threshold   (default 0.25 = +25 %)
 #   GATE_PATTERN    benches the gate fails on (default sim_hot_loop,
-#                   explore_throughput, adequation_scaling,
+#                   session_cost, explore_throughput, adequation_scaling,
 #                   exec_networked_scaling and exec_bus_contention —
-#                   the stable simulation kernels, the cold exploration
+#                   the stable simulation kernels, the compiled
+#                   co-simulation session every Monte-Carlo run and
+#                   explored candidate pays for, the cold exploration
 #                   pipeline, the adequation curve that guards the
 #                   route-search cliff and the executive over a loaded
 #                   bus, as a curve and as a point; everything else only warns,
@@ -33,7 +35,7 @@ set -eu
 baseline=${BASELINE:-BENCH_BASELINE.json}
 tol=${TOLERANCE:-0.5}
 gate_tol=${GATE_TOLERANCE:-0.25}
-gate=${GATE_PATTERN:-"sim_hot_loop|explore_throughput$|adequation_scaling|exec_networked_scaling|exec_bus_contention"}
+gate=${GATE_PATTERN:-"sim_hot_loop|session_cost|explore_throughput$|adequation_scaling|exec_networked_scaling|exec_bus_contention"}
 min_runs=${GATE_MIN_RUNS:-5}
 
 for f in "$@" "$baseline"; do

@@ -5,10 +5,11 @@ module E = Dataflow.Eventlib
 module B = Dataflow.Block
 
 (* The compiled hot path (precompiled wiring, reusable contexts,
-   dirty-set re-evaluation, in-place integration) must be
-   observationally *identical* to the straightforward interpretation
-   that [Engine.create ~debug:true] preserves: same probe samples to
-   the last bit, same event log, same step count.  Every fixture below
+   dirty-set re-evaluation, in-place integration, pruned right-hand
+   side) must be observationally *identical* to the straightforward
+   interpretation that [Engine.create ~debug:true] preserves: same
+   probe samples to the last bit, same event log, same step and
+   right-hand-side counts.  Every fixture below
    is built twice — once per mode — and the two runs are compared
    structurally ([compare ... = 0], so NaN samples compare equal). *)
 
@@ -42,9 +43,46 @@ let check_golden ?(t_end = [ 1. ]) ~probes build =
   check_true "event logs identical"
     (Sim.Engine.event_log e_ref = Sim.Engine.event_log e_new);
   check_int "step counts identical" (Sim.Engine.steps e_ref) (Sim.Engine.steps e_new);
+  check_int "RHS evaluation counts identical" (Sim.Engine.rhs_evals e_ref)
+    (Sim.Engine.rhs_evals e_new);
   check_true "final times identical"
     (compare (Sim.Engine.now e_ref) (Sim.Engine.now e_new) = 0);
   List.iter (fun name -> check_same_trace name e_ref e_new) probes
+
+(* The compiled right-hand side evaluates only the always-active blocks
+   the derivatives read.  [counted tally b] tallies [b]'s [outputs]
+   calls under its name: a block kept in the right-hand side runs at
+   least once per RHS call, a pruned one only at accepted steps and
+   instants — several RHS calls apart under RKF45. *)
+let counted tally (b : B.t) =
+  let outputs ctx =
+    let n = Option.value ~default:0 (Hashtbl.find_opt tally b.B.name) in
+    Hashtbl.replace tally b.B.name (n + 1);
+    b.B.outputs ctx
+  in
+  { b with B.outputs }
+
+let count_with = function Some tally -> counted tally | None -> Fun.id
+
+let check_pruning ~t_end ~kept ~pruned build =
+  let tally = Hashtbl.create 8 in
+  let e = build (Some tally) ~debug:false in
+  Sim.Engine.run ~t_end e;
+  let rhs = Sim.Engine.rhs_evals e in
+  check_true "integrates" (rhs > 0);
+  let calls name = Option.value ~default:0 (Hashtbl.find_opt tally name) in
+  List.iter
+    (fun name ->
+      if calls name < rhs then
+        Alcotest.failf "%s: %d evaluations for %d RHS calls, but a derivative reads it"
+          name (calls name) rhs)
+    kept;
+  List.iter
+    (fun name ->
+      if calls name >= rhs then
+        Alcotest.failf "%s: %d evaluations for %d RHS calls, but no derivative reads it"
+          name (calls name) rhs)
+    pruned
 
 (* ------------------------------------------------------------------ *)
 (* fixtures *)
@@ -90,12 +128,14 @@ let build_event_dense ~debug =
   Sim.Engine.add_probe e ~name:"latch" ~block:latch ~port:0;
   e
 
-(* ODE-dense: sampled PID on a continuous 2-state DC motor (RKF45) *)
-let build_ode_loop ~debug =
+(* ODE-dense: sampled PID on a continuous 2-state DC motor (RKF45).
+   The plant's input is held, so no always-active block is in the
+   right-hand side. *)
+let build_ode_loop_with tally ~debug =
   let plant = Control.Plants.dc_motor Control.Plants.default_dc_motor in
   let ts = 0.05 in
   let g = G.create () in
-  let p = G.add g (C.lti_continuous ~x0:[| 0.; 0. |] plant) in
+  let p = G.add g (count_with tally (C.lti_continuous ~x0:[| 0.; 0. |] plant)) in
   let r = G.add g (C.constant [| 1. |]) in
   let sh = G.add g (C.sample_hold 1) in
   let pid =
@@ -113,6 +153,8 @@ let build_ode_loop ~debug =
   let e = Sim.Engine.create ~debug g in
   Sim.Engine.add_probe e ~name:"y" ~block:p ~port:0;
   e
+
+let build_ode_loop = build_ode_loop_with None
 
 (* zero-crossing: the canonical bouncing ball *)
 let bouncing_ball ~h0 ~restitution =
@@ -147,6 +189,133 @@ let build_bouncing_ball ~debug =
   Sim.Engine.add_probe e ~name:"bounces" ~block:counter ~port:0;
   e
 
+(* a time-dependent always-active source feeding the plant through an
+   always-active feedthrough chain: every link is read by the
+   derivative.  The plant's own output is read by no derivative. *)
+let build_sine_chain tally ~debug =
+  let count = count_with tally in
+  let g = G.create () in
+  let wave = G.add g (count (C.sine_source ~name:"wave" ~freq_hz:1.5 ())) in
+  let gain = G.add g (count (C.gain ~name:"gain" 3.)) in
+  let offset = G.add g (C.constant [| 0.5 |]) in
+  let sum = G.add g (count (C.sum ~name:"sum" [| 1.; -1. |])) in
+  let plant =
+    G.add g
+      (count
+         (C.lti_continuous ~name:"plant" ~x0:[| 0.; 0. |]
+            (Control.Plants.dc_motor Control.Plants.default_dc_motor)))
+  in
+  let sh = G.add g (C.sample_hold 1) in
+  let clock = G.add g (E.clock ~period:0.1 ()) in
+  G.connect_data g ~src:(wave, 0) ~dst:(gain, 0);
+  G.connect_data g ~src:(gain, 0) ~dst:(sum, 0);
+  G.connect_data g ~src:(offset, 0) ~dst:(sum, 1);
+  G.connect_data g ~src:(sum, 0) ~dst:(plant, 0);
+  G.connect_data g ~src:(plant, 0) ~dst:(sh, 0);
+  G.connect_event g ~src:(clock, 0) ~dst:(sh, 0);
+  let e = Sim.Engine.create ~max_step:0.05 ~debug g in
+  Sim.Engine.add_probe e ~name:"y" ~block:plant ~port:0;
+  Sim.Engine.add_probe e ~name:"sh" ~block:sh ~port:0;
+  e
+
+(* the state-feedback loop of [Design.state_feedback_loop]: the plant's
+   split state outputs feed samplers and, outside the control law, a
+   state mux that only a probe reads.  A sine disturbance enters the
+   plant's second (split) input directly. *)
+let build_sf_loop tally ~debug =
+  let count = count_with tally in
+  let module M = Numerics.Matrix in
+  let sys =
+    Control.Lti.make ~domain:Control.Lti.Continuous
+      ~a:(M.of_arrays [| [| 0.; 1. |]; [| -4.; -0.8 |] |])
+      ~b:(M.of_arrays [| [| 0.; 0. |]; [| 1.; 0.5 |] |])
+      ~c:(M.identity 2) ~d:(M.zeros 2 2)
+  in
+  let g = G.create () in
+  let plant =
+    G.add g
+      (count
+         (C.lti_continuous ~name:"plant" ~split_inputs:true ~split_outputs:true
+            ~x0:[| 1.; 0. |] sys))
+  in
+  let samplers =
+    List.init 2 (fun i ->
+        let s = G.add g (C.sample_hold ~name:(Printf.sprintf "sample_x%d" i) 1) in
+        G.connect_data g ~src:(plant, i) ~dst:(s, 0);
+        s)
+  in
+  let ctrl = G.add g (C.state_feedback (M.of_arrays [| [| 2.; 0.5 |] |])) in
+  List.iteri (fun i s -> G.connect_data g ~src:(s, 0) ~dst:(ctrl, i)) samplers;
+  let hold = G.add g (C.sample_hold ~name:"hold_u" 1) in
+  G.connect_data g ~src:(ctrl, 0) ~dst:(hold, 0);
+  G.connect_data g ~src:(hold, 0) ~dst:(plant, 0);
+  let dist =
+    G.add g (count (C.sine_source ~name:"disturbance" ~amplitude:0.3 ~freq_hz:2. ()))
+  in
+  G.connect_data g ~src:(dist, 0) ~dst:(plant, 1);
+  let mux = G.add g (count (C.mux ~name:"state_probe" [| 1; 1 |])) in
+  G.connect_data g ~src:(plant, 0) ~dst:(mux, 0);
+  G.connect_data g ~src:(plant, 1) ~dst:(mux, 1);
+  let clock = G.add g (E.clock ~period:0.05 ()) in
+  List.iter
+    (fun b -> G.connect_event g ~src:(clock, 0) ~dst:(b, 0))
+    (samplers @ [ ctrl; hold ]);
+  let e = Sim.Engine.create ~debug g in
+  Sim.Engine.add_probe e ~name:"x" ~block:mux ~port:0;
+  Sim.Engine.add_probe e ~name:"u" ~block:hold ~port:0;
+  e
+
+(* plant -> always-active gain -> integrator: here the plant's output
+   IS read by a derivative, so plant and gain stay in the right-hand
+   side; the sine behind the sample-hold and the integrator's own
+   output do not *)
+let build_plant_integrator tally ~debug =
+  let count = count_with tally in
+  let g = G.create () in
+  let wave = G.add g (count (C.sine_source ~name:"wave" ~freq_hz:0.7 ())) in
+  let sh = G.add g (C.sample_hold 1) in
+  let plant =
+    G.add g
+      (count
+         (C.lti_continuous ~name:"plant" ~x0:[| 0.; 0. |]
+            (Control.Plants.dc_motor Control.Plants.default_dc_motor)))
+  in
+  let gain = G.add g (count (C.gain ~name:"gain" 0.5)) in
+  let integ = G.add g (count (C.integrator ~name:"integrator" [| 0. |])) in
+  let clock = G.add g (E.clock ~period:0.05 ()) in
+  G.connect_data g ~src:(wave, 0) ~dst:(sh, 0);
+  G.connect_data g ~src:(sh, 0) ~dst:(plant, 0);
+  G.connect_data g ~src:(plant, 0) ~dst:(gain, 0);
+  G.connect_data g ~src:(gain, 0) ~dst:(integ, 0);
+  G.connect_event g ~src:(clock, 0) ~dst:(sh, 0);
+  let e = Sim.Engine.create ~debug g in
+  Sim.Engine.add_probe e ~name:"y" ~block:plant ~port:0;
+  Sim.Engine.add_probe e ~name:"integral" ~block:integ ~port:0;
+  e
+
+(* surfaces behind a pruned block: the ball's derivative reads nothing,
+   so the gain and the relay it drives are out of the right-hand side,
+   yet the relay's crossings must still see the gain's fresh value *)
+let build_ball_relay tally ~debug =
+  let count = count_with tally in
+  let g = G.create () in
+  let ball = G.add g (count (bouncing_ball ~h0:1. ~restitution:0.8)) in
+  let gain = G.add g (count (C.gain ~name:"gain" 2.)) in
+  let relay =
+    G.add g
+      (count
+         (C.relay ~name:"relay" ~on_above:1.2 ~off_below:0.4 ~out_on:1. ~out_off:0. ()))
+  in
+  let counter = G.add g (E.event_counter ()) in
+  G.connect_data g ~src:(ball, 0) ~dst:(gain, 0);
+  G.connect_data g ~src:(gain, 0) ~dst:(relay, 0);
+  G.connect_event g ~src:(relay, 0) ~dst:(counter, 0);
+  let e = Sim.Engine.create ~debug g in
+  Sim.Engine.add_probe e ~name:"h" ~block:ball ~port:0;
+  Sim.Engine.add_probe e ~name:"relay" ~block:relay ~port:0;
+  Sim.Engine.add_probe e ~name:"toggles" ~block:counter ~port:0;
+  e
+
 (* drift regression: the output of a feedthrough block that is *not*
    always-active (the gain) drifts between events because its input is
    an integrator state.  The sampler must see the fresh value at each
@@ -167,8 +336,11 @@ let build_drift_chain ~debug =
   e
 
 (* randomised event graphs: parameters drawn by QCheck, diagram built
-   deterministically from them (twice — once per engine mode) *)
-let build_random (p1, p2, factor, freq, fanout) ~debug =
+   deterministically from them (twice — once per engine mode).  [plant]
+   adds a first-order plant: 0 none, 1 fed by the held sample (nothing
+   always-active in the right-hand side), 2 fed by the sine through a
+   gain (both in the right-hand side). *)
+let build_random (p1, p2, factor, freq, fanout, plant) ~debug =
   let g = G.create () in
   let c1 = G.add g (E.clock ~period:p1 ()) in
   let c2 = G.add g (E.clock ~period:p2 ()) in
@@ -188,9 +360,25 @@ let build_random (p1, p2, factor, freq, fanout) ~debug =
   G.connect_event g ~src:((if fanout then sync else div_), 0) ~dst:(latch, 0);
   G.connect_event g ~src:(c1, 0) ~dst:(sh, 0);
   G.connect_event g ~src:(c2, 0) ~dst:(delay, 0);
+  let y =
+    if plant = 0 then None
+    else begin
+      let p =
+        G.add g (C.lti_continuous ~x0:[| 0. |] (Control.Plants.first_order ~tau:0.2 ~gain:2.))
+      in
+      (if plant = 1 then G.connect_data g ~src:(sh, 0) ~dst:(p, 0)
+       else begin
+         let k = G.add g (C.gain 1.5) in
+         G.connect_data g ~src:(wave, 0) ~dst:(k, 0);
+         G.connect_data g ~src:(k, 0) ~dst:(p, 0)
+       end);
+      Some p
+    end
+  in
   let e = Sim.Engine.create ~debug g in
   Sim.Engine.add_probe e ~name:"sh" ~block:sh ~port:0;
   Sim.Engine.add_probe e ~name:"count" ~block:counter ~port:0;
+  Option.iter (fun p -> Sim.Engine.add_probe e ~name:"y" ~block:p ~port:0) y;
   e
 
 let golden_tests =
@@ -225,11 +413,43 @@ let golden_tests =
         | None -> Alcotest.fail "no samples");
     qtest "random event diagrams match debug engine bit-for-bit" ~count:30
       QCheck2.Gen.(
-        tup5 (float_range 0.004 0.05) (float_range 0.004 0.05) (int_range 1 4)
-          (float_range 0.1 2.) bool)
-      (fun params ->
-        check_golden ~t_end:[ 0.5 ] ~probes:[ "sh"; "count" ] (build_random params);
+        tup6 (float_range 0.004 0.05) (float_range 0.004 0.05) (int_range 1 4)
+          (float_range 0.1 2.) bool (int_range 0 2))
+      (fun ((_, _, _, _, _, plant) as params) ->
+        let probes = if plant = 0 then [ "sh"; "count" ] else [ "sh"; "count"; "y" ] in
+        check_golden ~t_end:[ 0.5 ] ~probes (build_random params);
         true);
+  ]
+
+(* the pruned right-hand side: oracle equivalence plus which blocks it
+   keeps *)
+let pruning_tests =
+  [
+    test "PID / DC motor: nothing always-active in the RHS" (fun () ->
+        check_golden ~t_end:[ 5. ] ~probes:[ "y" ] build_ode_loop;
+        check_pruning ~t_end:5. ~kept:[] ~pruned:[ "plant" ] build_ode_loop_with);
+    test "sine -> gain -> sum -> plant: the chain is kept" (fun () ->
+        check_golden ~t_end:[ 3. ] ~probes:[ "y"; "sh" ] (build_sine_chain None);
+        check_pruning ~t_end:3. ~kept:[ "wave"; "gain"; "sum" ] ~pruned:[ "plant" ]
+          build_sine_chain);
+    test "state-feedback loop: the probe-only state mux is pruned" (fun () ->
+        check_golden ~t_end:[ 3. ] ~probes:[ "x"; "u" ] (build_sf_loop None);
+        check_pruning ~t_end:3. ~kept:[ "disturbance" ] ~pruned:[ "state_probe"; "plant" ]
+          build_sf_loop);
+    test "plant -> gain -> integrator: the plant output is read" (fun () ->
+        check_golden ~t_end:[ 3. ] ~probes:[ "y"; "integral" ] (build_plant_integrator None);
+        check_pruning ~t_end:3. ~kept:[ "plant"; "gain" ] ~pruned:[ "wave"; "integrator" ]
+          build_plant_integrator);
+    test "bouncing ball -> gain -> relay: crossings see fresh outputs" (fun () ->
+        check_golden ~t_end:[ 3. ] ~probes:[ "h"; "relay"; "toggles" ] (build_ball_relay None);
+        check_pruning ~t_end:3. ~kept:[] ~pruned:[ "ball"; "gain"; "relay" ]
+          build_ball_relay;
+        let e = build_ball_relay None ~debug:false in
+        Sim.Engine.run ~t_end:3. e;
+        check_true "relay toggled"
+          (match Sim.Trace.last (Sim.Engine.probe e "toggles") with
+          | Some (_, v) -> v.(0) >= 2.
+          | None -> false));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -296,6 +516,68 @@ let alloc_tests =
            this bound *)
         if per_step > 200. then
           Alcotest.failf "%.1f minor words per event delivery (budget 200)" per_step);
+    test "ODE path allocates below budget per sampling period" (fun () ->
+        let e = build_ode_loop ~debug:false in
+        Sim.Engine.run ~t_end:10. e;
+        let r0 = Sim.Engine.rhs_evals e in
+        let w0 = Gc.minor_words () in
+        Sim.Engine.run ~t_end:20. e;
+        let dw = Gc.minor_words () -. w0 in
+        (* ts = 0.05 s *)
+        let periods = 200. in
+        check_true "integrates" (Sim.Engine.rhs_evals e - r0 > 1000);
+        let per_period = dw /. periods in
+        (* about 300 words: the three sampled blocks' deliveries, the
+           probe rows and the plant output at each accepted step.  The
+           RHS itself allocates nothing; an allocating [Lti.deriv]
+           derivative, or the plant output re-evaluated in every RHS
+           call, adds about 160 words per period (18 RHS calls) *)
+        if per_period > 400. then
+          Alcotest.failf "%.1f minor words per sampling period (budget 400)" per_period);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* the stock continuous blocks' in-place derivatives *)
+
+let deriv_of (b : B.t) = match b.B.derivatives with Some d -> d | None -> assert false
+
+let lti_tests =
+  [
+    qtest "lti_continuous derivative is Lti.deriv bit-for-bit" ~count:100
+      QCheck2.Gen.(
+        let* n = int_range 1 4 and* m = int_range 1 3 and* split = bool in
+        let* a = array_size (return (n * n)) (float_range (-5.) 5.)
+        and* b = array_size (return (n * m)) (float_range (-5.) 5.)
+        and* xs = list_size (return 3) (array_size (return n) (float_range (-10.) 10.))
+        and* us = list_size (return 3) (array_size (return m) (float_range (-10.) 10.)) in
+        return (n, m, split, a, b, xs, us))
+      (fun (n, m, split, a, b, xs, us) ->
+        let module M = Numerics.Matrix in
+        let sys =
+          Control.Lti.make ~domain:Control.Lti.Continuous
+            ~a:(M.init n n (fun i j -> a.((i * n) + j)))
+            ~b:(M.init n m (fun i j -> b.((i * m) + j)))
+            ~c:(M.identity n) ~d:(M.zeros n m)
+        in
+        let deriv =
+          deriv_of (C.lti_continuous ~split_inputs:split ~x0:(Array.make n 0.) sys)
+        in
+        (* the block reuses its result buffer: every call is compared
+           before the next one *)
+        List.for_all2
+          (fun x u ->
+            let inputs = if split then Array.map (fun v -> [| v |]) u else [| u |] in
+            let got = deriv { B.time = 0.; inputs; cstate = x } in
+            let want = Control.Lti.deriv sys x u in
+            Array.for_all2
+              (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q))
+              got want)
+          xs us);
+    test "integrator derivative is its input" (fun () ->
+        let u = [| 1.5; -2. |] in
+        let ctx = { B.time = 0.; inputs = [| u |]; cstate = [| 3.; 4. |] } in
+        let d = deriv_of (C.integrator [| 0.; 0. |]) ctx in
+        check_true "the input itself, not a copy" (d == u));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -382,11 +664,128 @@ let validation_tests =
         check_true "ran to completion" (Sim.Engine.steps e > 5));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Session.cost digests on the serve and explore plants, recorded
+   before the right-hand side was pruned: the costs of 8 seeds (MD5 of
+   their "%h" renderings), the event deliveries and the RHS calls *)
+
+let serve_document ~plant ~x0 ~kp ~ki ~kd ~ts ~horizon ~ecus ~budget =
+  let ecus = List.init ecus (Printf.sprintf "ecu%d") in
+  let architecture =
+    String.concat " " (List.map (Printf.sprintf "(operator %s)") ecus)
+    ^
+    if List.length ecus > 1 then
+      Printf.sprintf " (bus (name can) (latency 0.0005) (rate 0.0004) (connects %s))"
+        (String.concat " " ecus)
+    else ""
+  in
+  Printf.sprintf
+    "(lifecycle\n\
+    \  (design (name probe) (ts %g) (horizon %g) (cost iae y 0 1.0))\n\
+    \  (diagram\n\
+    \    (block (name plant) (type lti) %s (x0 %s))\n\
+    \    (block (name reference) (type const) (value 1))\n\
+    \    (block (name sample_y) (type sample-hold) (width 1))\n\
+    \    (block (name pid) (type pid) (kp %.5f) (ki %.5f) (kd %.5f) (ts %g))\n\
+    \    (block (name hold_u) (type sample-hold) (width 1))\n\
+    \    (link plant 0 sample_y 0) (link reference 0 pid 0) (link sample_y 0 pid 1)\n\
+    \    (link pid 0 hold_u 0) (link hold_u 0 plant 0)\n\
+    \    (members reference sample_y pid hold_u)\n\
+    \    (clocked sample_y pid hold_u)\n\
+    \    (probe y plant 0) (probe u hold_u 0))\n\
+    \  (architecture (name platform) %s)\n\
+    \  (durations (wcet reference * %.6f) (wcet sample_y ecu0 %.6f)\n\
+    \             (wcet pid * %.6f) (wcet hold_u ecu0 %.6f))\n\
+    \  (pins (pin sample_y ecu0) (pin hold_u ecu0)))\n"
+    ts horizon plant x0 kp ki kd ts architecture (0.05 *. budget) (0.25 *. budget)
+    (0.5 *. budget) (0.2 *. budget)
+
+let serve_session src =
+  let f = Lifecycle.Diagram.parse src in
+  let implementation =
+    Lifecycle.Methodology.implement ~pins:f.Lifecycle.Diagram.pins
+      ~design:f.Lifecycle.Diagram.design ~architecture:f.Lifecycle.Diagram.architecture
+      ~durations:f.Lifecycle.Diagram.durations ()
+  in
+  Lifecycle.Session.create ~design:f.Lifecycle.Diagram.design ~implementation ()
+
+(* a screening candidate of the explore sweep: dc-motor PID on two
+   processors over a bus, WCETs at 0.55 of the budget *)
+let explore_session () =
+  let design =
+    Lifecycle.Design.pid_loop ~name:"sweep"
+      ~plant:(Control.Plants.dc_motor Control.Plants.default_dc_motor)
+      ~x0:[| 0.; 0. |]
+      ~gains:{ Control.Pid.kp = 66.; ki = 88.; kd = 0. }
+      ~ts:0.04 ~reference:1. ~horizon:0.5 ()
+  in
+  let durations = Aaa.Durations.create () in
+  List.iter
+    (fun (op, share) ->
+      let w = share *. 0.55 *. 1.4 *. 0.05 /. 1.6 in
+      List.iter
+        (fun operator ->
+          Aaa.Durations.set durations ~op ~operator w;
+          Aaa.Durations.set_bcet durations ~op ~operator (0.4 *. w))
+        [ "P0"; "P1" ])
+    [ ("reference", 0.05); ("sample_y", 0.2); ("pid", 0.6); ("hold_u", 0.15) ];
+  let architecture =
+    Aaa.Architecture.bus_topology ~latency:0.0005 ~time_per_word:0.0005 [ "P0"; "P1" ]
+  in
+  let implementation = Lifecycle.Methodology.implement ~design ~architecture ~durations () in
+  Lifecycle.Session.create ~design ~implementation ()
+
+let session_cases =
+  [
+    ( "dc-motor, 3 ECUs",
+      (fun () ->
+        serve_session
+          (serve_document ~plant:"(plant dc-motor)" ~x0:"0 0" ~kp:60. ~ki:80. ~kd:0.
+             ~ts:0.04 ~horizon:4. ~ecus:3 ~budget:0.012)),
+      ("cd3414814ae5bbf62c4a6a04e60a1e6b", 15304, 86538) );
+    ( "first-order, 2 ECUs",
+      (fun () ->
+        serve_session
+          (serve_document ~plant:"(plant first-order 0.5 2)" ~x0:"0" ~kp:0.75 ~ki:1.5
+             ~kd:0. ~ts:0.05 ~horizon:3. ~ecus:2 ~budget:0.015)),
+      ("e6303005166ba60a26143a3eda918078", 9224, 51840) );
+    ( "mass-spring-damper, 1 ECU",
+      (fun () ->
+        serve_session
+          (serve_document ~plant:"(plant mass-spring-damper 1 4 0.8)" ~x0:"0 0" ~kp:6.
+             ~ki:5. ~kd:0.4 ~ts:0.025 ~horizon:2. ~ecus:1 ~budget:0.008)),
+      ("7a55e8e50b7db00204858e3680a5e45c", 6440, 57648) );
+    ( "explore screening candidate",
+      explore_session,
+      ("48a2b5c6b5939f12ee1c624b05d74853", 2024, 11322) );
+  ]
+
+let session_tests =
+  List.map
+    (fun (name, create, (digest, steps, rhs)) ->
+      test (name ^ ": Session.cost digest unchanged") (fun () ->
+          let s = create () in
+          let costs = ref [] and n_steps = ref 0 and n_rhs = ref 0 in
+          for seed = 1000 to 1007 do
+            costs := Printf.sprintf "%h" (Lifecycle.Session.cost s ~seed) :: !costs;
+            let e = Lifecycle.Session.engine s in
+            n_steps := !n_steps + Sim.Engine.steps e;
+            n_rhs := !n_rhs + Sim.Engine.rhs_evals e
+          done;
+          Alcotest.(check string) "cost digest" digest
+            (Digest.to_hex (Digest.string (String.concat ";" (List.rev !costs))));
+          check_int "event deliveries" steps !n_steps;
+          check_int "RHS evaluations" rhs !n_rhs))
+    session_cases
+
 let suites =
   [
     ("sim_perf.golden", golden_tests);
+    ("sim_perf.pruning", pruning_tests);
     ("sim_perf.ode_inplace", ode_tests);
     ("sim_perf.alloc", alloc_tests);
+    ("sim_perf.lti", lti_tests);
+    ("sim_perf.session", session_tests);
     ("sim_perf.queue_space", queue_space_tests);
     ("sim_perf.validation", validation_tests);
   ]
