@@ -43,6 +43,8 @@ type context = {
     - a callback must read what it needs {e during} the call; retaining
       [ctx], [ctx.inputs] or [ctx.cstate] for later use is invalid
       (their contents are overwritten before the next call);
+    - [ctx.inputs.(p)] is the engine's own output row of the block
+      wired to port [p]: read-only, never written and never retained;
     - [outputs] must be a pure function of [ctx], the block's internal
       state and its captured constants — the engine only re-evaluates a
       block when one of those may have changed (dirty-set propagation),
@@ -124,7 +126,11 @@ type t = {
           integrator's intermediate stages the engine re-evaluates only
           the always-active blocks some derivative reads *)
   outputs : context -> float array array;
-      (** compute current outputs; must return [out_widths]-shaped data *)
+      (** compute current outputs; must return [out_widths]-shaped data.
+          The engine copies the returned rows into rows it owns before
+          the block's next callback, so the result (the outer array and
+          each row) may be a buffer the block reuses from call to call,
+          or one of [ctx.inputs] *)
   derivatives : (context -> float array) option;
       (** time derivative of [cstate]; required iff [cstate0] is
           non-empty.  The engine reads the returned array before the

@@ -156,8 +156,6 @@ let lti_continuous ?name ?(split_inputs = false) ?(split_outputs = false) ~x0
   let m = Control.Lti.input_dim sys and p = Control.Lti.output_dim sys in
   let in_widths = if split_inputs then Array.make m 1 else [| m |] in
   let out_widths = if split_outputs then Array.make p 1 else [| p |] in
-  let gather_u inputs = if split_inputs then Array.map (fun v -> v.(0)) inputs else inputs.(0) in
-  let deliver_y y = if split_outputs then Array.map (fun v -> [| v |]) y else [| y |] in
   let feedthrough = M.norm_inf sys.d > 0. in
   (* dx = A x + B u into one reused buffer, with the float operations of
      [Control.Lti.deriv]: each row sum starts at 0 and adds its terms in
@@ -182,9 +180,35 @@ let lti_continuous ?name ?(split_inputs = false) ?(split_outputs = false) ~x0
     done;
     dx
   in
+  (* y = C x + D u into reused rows, with the float operations of
+     [Control.Lti.output]: the row sum of C x, then that of D u, then
+     their sum *)
+  let c = Array.init (p * n) (fun k -> M.get sys.c (k / n) (k mod n)) in
+  let d = Array.init (p * m) (fun k -> M.get sys.d (k / m) (k mod m)) in
+  let y = Array.make p 0. in
+  let rows = if split_outputs then Array.init p (fun _ -> [| 0. |]) else [| y |] in
+  let outputs ctx =
+    let x = ctx.Block.cstate and inputs = ctx.Block.inputs in
+    for i = 0 to p - 1 do
+      let cx = ref 0. in
+      for j = 0 to n - 1 do
+        cx := !cx +. (c.((i * n) + j) *. x.(j))
+      done;
+      let du = ref 0. in
+      for j = 0 to m - 1 do
+        let u = if split_inputs then inputs.(j).(0) else inputs.(0).(j) in
+        du := !du +. (d.((i * m) + j) *. u)
+      done;
+      y.(i) <- !cx +. !du
+    done;
+    if split_outputs then
+      for i = 0 to p - 1 do
+        rows.(i).(0) <- y.(i)
+      done;
+    rows
+  in
   Block.make ~name ~in_widths ~out_widths ~cstate0:(Array.copy x0) ~feedthrough
-    ~always_active:true ~derivatives
-    (fun ctx -> deliver_y (Control.Lti.output sys ctx.Block.cstate (gather_u ctx.Block.inputs)))
+    ~always_active:true ~derivatives outputs
 
 let state_feedback ?(name = "state_feedback") k =
   let n = M.cols k and m = M.rows k in

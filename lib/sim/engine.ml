@@ -10,12 +10,14 @@ type probe_rec = { pr_block : int; pr_port : int; trace : Trace.t }
    right-hand side) run without graph lookups and without steady-state
    allocation:
 
-   - wiring is resolved once into int arrays ([in_src_block] /
-     [in_src_port]) and precomputed delivery arrays ([listeners] /
-     [self_deliv]), replacing the per-call [G.data_source] /
-     [G.event_listeners] queries;
-   - every block gets one reusable {!B.context} whose [inputs] and
-     [cstate] arrays are refreshed in place before each callback;
+   - the engine owns every block's output rows, allocated once from
+     [out_widths]; [eval_block] copies what [outputs] returns into them,
+     so a block may return a buffer it reuses.  Each input of
+     [ctx.inputs] is wired once, at [create], to its source row, and
+     precomputed delivery arrays ([listeners] / [self_deliv]) replace
+     the per-call [G.event_listeners] queries;
+   - every block gets one reusable {!B.context} whose [cstate] array is
+     refreshed in place before each callback;
    - output re-evaluation is incremental: delivering an event marks the
      target block (and its feedthrough closure) dirty, and only dirty
      blocks are re-evaluated, in topological order — always-active
@@ -26,7 +28,11 @@ type probe_rec = { pr_block : int; pr_port : int; trace : Trace.t }
      persistent workspace and scratch state vectors, and its right-hand
      side re-evaluates only the always-active blocks the derivatives
      read ([rhs_ids]); the observer still refreshes all of them at every
-     accepted step.
+     accepted step;
+   - probe traces and the event log store flat floats and ints, not
+     one heap object per sample or delivery, and keep their storage
+     across [reset];
+   - the per-call copies are element loops: [Array.blit] is a C call.
 
    [debug = true] restores the seed semantics — a full output sweep at
    every delivery, the allocating integrator and per-call output-shape
@@ -48,12 +54,9 @@ type t = {
   outputs : float array array array;
   queue : delivery Event_queue.t;
   (* compiled wiring *)
-  in_src_block : int array array; (* per block, per input port *)
-  in_src_port : int array array;
   listeners : delivery array array array; (* block, event-out port *)
   self_deliv : delivery array array; (* block, event-in port *)
   (* reusable per-block callback state *)
-  in_refs : float array array array; (* ctx.inputs backing stores *)
   cs_buf : float array array; (* ctx.cstate backing stores *)
   ctxs : B.context array;
   (* incremental re-evaluation *)
@@ -80,9 +83,14 @@ type t = {
   mutable time : float;
   mutable probes : (string * probe_rec) list; (* newest first *)
   mutable probe_arr : probe_rec array; (* frozen at start, registration order *)
-  mutable log : (float * int * int) list; (* (time, block id, port), reversed *)
+  (* event log: delivery i is (log_time.(i), log_block.(i), log_port.(i))
+     for i < nsteps *)
+  mutable log_time : float array;
+  mutable log_block : int array;
+  mutable log_port : int array;
   mutable nsteps : int;
   mutable nrhs : int; (* right-hand-side evaluations *)
+  mutable nevals : int; (* [outputs] calls *)
   mutable started : bool;
 }
 
@@ -168,15 +176,17 @@ let create ?(meth = Numerics.Ode.default_method) ?max_step ?(debug = false) grap
     Array.init n (fun id ->
         Array.init blocks.(id).B.event_inputs (fun p -> { target = id; port = p }))
   in
-  let in_refs =
-    Array.init n (fun id ->
-        Array.make (Array.length blocks.(id).B.in_widths) empty_floats)
-  in
   let cs_buf =
     Array.init n (fun id -> if cs_len.(id) = 0 then empty_floats else Array.make cs_len.(id) 0.)
   in
+  (* each input is wired once to its source's output row, which the
+     engine owns and [eval_block] only ever overwrites in place *)
   let ctxs =
-    Array.init n (fun id -> { B.time = 0.; inputs = in_refs.(id); cstate = cs_buf.(id) })
+    Array.init n (fun id ->
+        let inputs =
+          Array.mapi (fun p sb -> outputs.(sb).(in_src_port.(id).(p))) in_src_block.(id)
+        in
+        { B.time = 0.; inputs; cstate = cs_buf.(id) })
   in
   (* feedthrough data successors, for dirty propagation *)
   let dirty_succs =
@@ -259,11 +269,8 @@ let create ?(meth = Numerics.Ode.default_method) ?max_step ?(debug = false) grap
       cstate = Array.make !total 0.;
       outputs;
       queue = Event_queue.create ();
-      in_src_block;
-      in_src_port;
       listeners;
       self_deliv;
-      in_refs;
       cs_buf;
       ctxs;
       dirty = Array.make n false;
@@ -288,9 +295,12 @@ let create ?(meth = Numerics.Ode.default_method) ?max_step ?(debug = false) grap
       time = 0.;
       probes = [];
       probe_arr = [||];
-      log = [];
+      log_time = Array.make 64 0.;
+      log_block = Array.make 64 0;
+      log_port = Array.make 64 0;
       nsteps = 0;
       nrhs = 0;
+      nevals = 0;
       started = false;
     }
   in
@@ -299,20 +309,20 @@ let create ?(meth = Numerics.Ode.default_method) ?max_step ?(debug = false) grap
 (* ------------------------------------------------------------------ *)
 (* reusable callback contexts *)
 
-let refresh_inputs e id =
-  let refs = e.in_refs.(id) in
-  let sb = e.in_src_block.(id) and sp = e.in_src_port.(id) in
-  for p = 0 to Array.length refs - 1 do
-    refs.(p) <- e.outputs.(sb.(p)).(sp.(p))
+(* [dst.(doff + i) <- src.(soff + i)] for [i < len], as a loop:
+   [Array.blit] is a C call, too dear for the few floats copied per
+   callback *)
+let copy_floats (src : float array) soff (dst : float array) doff len =
+  for i = 0 to len - 1 do
+    dst.(doff + i) <- src.(soff + i)
   done
 
-(* Prepares block [id]'s context for a callback at [time]: input
-   references refreshed, continuous-state slice copied in.  All
-   callbacks receive the same context record. *)
+(* Prepares block [id]'s context for a callback at [time]: continuous-
+   state slice copied in.  All callbacks receive the same context
+   record, whose inputs are the source blocks' output rows. *)
 let load_ctx e id time =
-  refresh_inputs e id;
   let len = e.cs_len.(id) in
-  if len > 0 then Array.blit e.cstate e.cs_offset.(id) e.cs_buf.(id) 0 len;
+  if len > 0 then copy_floats e.cstate e.cs_offset.(id) e.cs_buf.(id) 0 len;
   let ctx = e.ctxs.(id) in
   ctx.B.time <- time;
   ctx
@@ -324,6 +334,7 @@ let eval_block e time id =
   let b = e.blocks.(id) in
   let ctx = load_ctx e id time in
   let out = b.B.outputs ctx in
+  e.nevals <- e.nevals + 1;
   let outs = e.outputs.(id) in
   if e.debug || not e.validated.(id) then begin
     if Array.length out <> Array.length b.B.out_widths then
@@ -335,8 +346,10 @@ let eval_block e time id =
       out;
     e.validated.(id) <- true
   end;
+  (* copy into the engine's rows: the block may reuse what it returned *)
   for p = 0 to Array.length outs - 1 do
-    outs.(p) <- out.(p)
+    let src = out.(p) and dst = outs.(p) in
+    if src != dst then copy_floats src 0 dst 0 (Array.length dst)
   done
 
 let eval_outputs e time =
@@ -438,6 +451,23 @@ let add_probe e ~name ~block ~port =
 
 let time_eps t = 1e-9 *. (1. +. Float.abs t)
 
+let log_delivery e t target port =
+  let i = e.nsteps in
+  if i = Array.length e.log_time then begin
+    let grow a fill =
+      let a' = Array.make (2 * i) fill in
+      Array.blit a 0 a' 0 i;
+      a'
+    in
+    e.log_time <- grow e.log_time 0.;
+    e.log_block <- grow e.log_block 0;
+    e.log_port <- grow e.log_port 0
+  end;
+  e.log_time.(i) <- t;
+  e.log_block.(i) <- target;
+  e.log_port.(i) <- port;
+  e.nsteps <- i + 1
+
 (* Deliver every event pending at instant [t] (within float tolerance),
    including zero-delay events emitted during the instant itself.
    Only blocks whose outputs may have changed are re-evaluated. *)
@@ -458,8 +488,7 @@ let process_instant e t =
       in
       let ctx = load_ctx e target t in
       let actions = handler ctx ~port in
-      e.log <- (t, target, port) :: e.log;
-      e.nsteps <- e.nsteps + 1;
+      log_delivery e t target port;
       mark_dirty e target;
       schedule_actions e target t actions
     end
@@ -494,7 +523,7 @@ let install_hot_closures e =
   e.rhs_ip <-
     (fun tt x ~dx ->
       e.nrhs <- e.nrhs + 1;
-      Array.blit x 0 e.cstate 0 e.total_cs;
+      copy_floats x 0 e.cstate 0 e.total_cs;
       eval_ids e tt e.rhs_ids;
       let ids = e.deriv_ids in
       for i = 0 to Array.length ids - 1 do
@@ -503,11 +532,11 @@ let install_hot_closures e =
         let deriv = match b.B.derivatives with Some d -> d | None -> assert false in
         let ctx = load_ctx e id tt in
         let d = deriv ctx in
-        Array.blit d 0 dx e.cs_offset.(id) e.cs_len.(id)
+        copy_floats d 0 dx e.cs_offset.(id) e.cs_len.(id)
       done);
   e.obs_record <-
     (fun tt x ->
-      Array.blit x 0 e.cstate 0 e.total_cs;
+      copy_floats x 0 e.cstate 0 e.total_cs;
       eval_always_active e tt;
       record_probes e tt)
 
@@ -575,10 +604,10 @@ let integrate_to e t1 =
        Array.blit xf 0 e.cstate 0 e.total_cs
      end
      else begin
-       Array.blit e.cstate 0 e.x_buf 0 e.total_cs;
+       copy_floats e.cstate 0 e.x_buf 0 e.total_cs;
        Numerics.Ode.integrate_inplace ~meth:e.meth ?max_step:e.max_step
          ~observer:e.obs_record ~ws:e.ws e.rhs_ip ~t0:e.time ~t1 e.x_buf;
-       Array.blit e.x_buf 0 e.cstate 0 e.total_cs
+       copy_floats e.x_buf 0 e.cstate 0 e.total_cs
      end);
     e.time <- t1;
     `Reached
@@ -699,9 +728,9 @@ let run ?(t_end = 1.) e =
 let reset e =
   Event_queue.clear e.queue;
   e.time <- 0.;
-  e.log <- [];
   e.nsteps <- 0;
   e.nrhs <- 0;
+  e.nevals <- 0;
   e.started <- false;
   List.iter (fun (_, p) -> Trace.clear p.trace) e.probes
 
@@ -715,13 +744,19 @@ let probe e name =
 let probe_component e name j = Trace.component (probe e name) j
 
 let event_log e =
-  List.rev_map (fun (t, id, port) -> (t, e.blocks.(id).B.name, port)) e.log
+  List.init e.nsteps (fun i ->
+      (e.log_time.(i), e.blocks.(e.log_block.(i)).B.name, e.log_port.(i)))
 
 let activations e ~block =
   let id = ((block : G.block_id) :> int) in
-  List.rev
-    (List.filter_map (fun (t, i, _) -> if i = id then Some t else None) e.log)
+  let acc = ref [] in
+  for i = e.nsteps - 1 downto 0 do
+    if e.log_block.(i) = id then acc := e.log_time.(i) :: !acc
+  done;
+  !acc
 
 let steps e = e.nsteps
 
 let rhs_evals e = e.nrhs
+
+let block_evals e = e.nevals

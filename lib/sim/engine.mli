@@ -24,12 +24,14 @@
     {!create} compiles the diagram into flat runtime tables so the
     steady-state loops run without graph lookups or allocation:
 
-    - wiring is resolved once into per-block integer source tables and
-      precomputed event-delivery arrays;
+    - the engine owns every block's output rows and copies what
+      [outputs] returns into them, so a block may return a buffer it
+      reuses; each input port is wired once, at {!create}, to its
+      source's row, and event delivery uses precomputed arrays;
     - every block owns one reusable mutable {!Dataflow.Block.context}
-      whose [inputs] / [cstate] arrays are refreshed in place before
-      each callback (callbacks must not retain them — see
-      {!Dataflow.Block.context});
+      whose [cstate] array is refreshed in place before each callback,
+      and whose [inputs] are the source rows themselves (callbacks must
+      neither write nor retain them — see {!Dataflow.Block.context});
     - event delivery re-evaluates only the blocks whose outputs may
       have changed (the activated block plus its feedthrough closure,
       in topological order) instead of sweeping the whole diagram —
@@ -44,7 +46,11 @@
       its outputs during integration and ends the search).  The
       integration observer still re-evaluates every always-active
       block at each accepted step, so outputs and probes at accepted
-      points are those of the full sweep.
+      points are those of the full sweep;
+    - probe traces ({!Trace}) and the event log store flat floats and
+      ints, not one heap object per sample or delivery, and keep their
+      storage across {!reset}; the per-call copies are element loops,
+      not C calls.
 
     All of this is observationally equivalent to the straightforward
     interpretation: traces, event logs and step counts are bit-for-bit
@@ -105,3 +111,10 @@ val rhs_evals : t -> int
 (** Number of ODE right-hand-side evaluations since the last {!reset}
     (or {!create}), integration-observer calls excluded.  The debug
     and compiled paths make the same calls, so the counts agree. *)
+
+val block_evals : t -> int
+(** Number of block [outputs] calls since the last {!reset} (or
+    {!create}), counted in both paths: the dirty-block evaluations of
+    event instants, the right-hand side and the integration observer.
+    The compiled path's incremental re-evaluation makes at most as many
+    as the debug path's full sweeps.  Reading it changes nothing. *)

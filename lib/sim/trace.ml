@@ -2,14 +2,16 @@
    directory: appending allocates a fresh chunk every [chunk_size]
    samples and only ever copies the directory (pointers), never the
    recorded data — so long batch runs stop re-copying large probe
-   arrays the way the previous doubling scheme did. *)
+   arrays the way the previous doubling scheme did.  A chunk is flat:
+   [chunk_size] times and [chunk_size × w] floats, the row of sample i
+   at [i·w] — so recording a sample allocates nothing. *)
 
 let chunk_size = 1024
 
 type t = {
   w : int;
   mutable tdir : float array array;  (* tdir.(c).(i) = time of sample c·N+i *)
-  mutable vdir : float array array array;  (* vdir.(c).(i) = its row *)
+  mutable vdir : float array array;  (* vdir.(c).(i·w + j) = its component j *)
   mutable n : int;
 }
 
@@ -40,40 +42,47 @@ let ensure_capacity tr =
   (* chunks survive [clear] for reuse, hence the emptiness test *)
   if Array.length tr.tdir.(c) = 0 then begin
     tr.tdir.(c) <- Array.make chunk_size 0.;
-    tr.vdir.(c) <- Array.make chunk_size [||]
+    tr.vdir.(c) <- Array.make (chunk_size * tr.w) 0.
   end
+
+(* writes [v] as the row of sample [i], element by element *)
+let store tr i (v : float array) =
+  let row = tr.vdir.(chunk i) and base = offset i * tr.w in
+  for j = 0 to tr.w - 1 do
+    row.(base + j) <- v.(j)
+  done
+
+(* a fresh copy of the row of sample [i] *)
+let row tr i = Array.sub tr.vdir.(chunk i) (offset i * tr.w) tr.w
 
 let record tr time v =
   if Array.length v <> tr.w then invalid_arg "Trace.record: width mismatch";
   if tr.n > 0 && tr.tdir.(chunk (tr.n - 1)).(offset (tr.n - 1)) = time then
-    tr.vdir.(chunk (tr.n - 1)).(offset (tr.n - 1)) <- Array.copy v
+    store tr (tr.n - 1) v
   else begin
     ensure_capacity tr;
     tr.tdir.(chunk tr.n).(offset tr.n) <- time;
-    tr.vdir.(chunk tr.n).(offset tr.n) <- Array.copy v;
+    store tr tr.n v;
     tr.n <- tr.n + 1
   end
 
 let times tr = Array.init tr.n (fun i -> tr.tdir.(chunk i).(offset i))
-let values tr = Array.init tr.n (fun i -> Array.copy tr.vdir.(chunk i).(offset i))
+let values tr = Array.init tr.n (row tr)
 
 let component tr j =
   if j < 0 || j >= tr.w then invalid_arg "Trace.component: out of range";
   Control.Metrics.of_arrays (times tr)
-    (Array.init tr.n (fun i -> tr.vdir.(chunk i).(offset i).(j)))
+    (Array.init tr.n (fun i -> tr.vdir.(chunk i).((offset i * tr.w) + j)))
 
 let last tr =
   if tr.n = 0 then None
-  else
-    Some
-      ( tr.tdir.(chunk (tr.n - 1)).(offset (tr.n - 1)),
-        Array.copy tr.vdir.(chunk (tr.n - 1)).(offset (tr.n - 1)) )
+  else Some (tr.tdir.(chunk (tr.n - 1)).(offset (tr.n - 1)), row tr (tr.n - 1))
 
 let clear tr = tr.n <- 0
 
 let iter f tr =
   for i = 0 to tr.n - 1 do
-    f tr.tdir.(chunk i).(offset i) tr.vdir.(chunk i).(offset i)
+    f tr.tdir.(chunk i).(offset i) (row tr i)
   done
 
 let to_csv ?labels tr =

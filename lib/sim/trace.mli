@@ -4,7 +4,12 @@
     appending a sample never copies previously recorded data (only the
     directory of chunk pointers doubles), so long batch runs — many
     scenarios re-recorded through one engine — avoid the repeated
-    large-array copies of a doubling buffer. *)
+    large-array copies of a doubling buffer.  Each chunk is flat (its
+    times, and its samples' components back to back), so {!record}
+    copies the sample in place and allocates only when it opens a new
+    chunk; {!clear} keeps the chunks for reuse.  Rows handed out by
+    {!values}, {!last} and {!iter} are fresh copies: mutating them, or
+    the array passed to {!record}, leaves the trace unchanged. *)
 
 type t
 

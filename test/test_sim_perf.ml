@@ -4,13 +4,13 @@ module C = Dataflow.Clib
 module E = Dataflow.Eventlib
 module B = Dataflow.Block
 
-(* The compiled hot path (precompiled wiring, reusable contexts,
-   dirty-set re-evaluation, in-place integration, pruned right-hand
-   side) must be observationally *identical* to the straightforward
+(* The compiled hot path (precompiled wiring, engine-owned output rows,
+   reusable contexts, dirty-set re-evaluation, in-place integration,
+   pruned right-hand side) must be observationally *identical* to the straightforward
    interpretation that [Engine.create ~debug:true] preserves: same
    probe samples to the last bit, same event log, same step and
-   right-hand-side counts.  Every fixture below
-   is built twice — once per mode — and the two runs are compared
+   right-hand-side counts, and no more [outputs] calls.  Every fixture
+   below is built twice — once per mode — and the two runs are compared
    structurally ([compare ... = 0], so NaN samples compare equal). *)
 
 (* ------------------------------------------------------------------ *)
@@ -45,6 +45,9 @@ let check_golden ?(t_end = [ 1. ]) ~probes build =
   check_int "step counts identical" (Sim.Engine.steps e_ref) (Sim.Engine.steps e_new);
   check_int "RHS evaluation counts identical" (Sim.Engine.rhs_evals e_ref)
     (Sim.Engine.rhs_evals e_new);
+  let evals_r = Sim.Engine.block_evals e_ref and evals_n = Sim.Engine.block_evals e_new in
+  if evals_n > evals_r then
+    Alcotest.failf "compiled path made %d outputs calls, debug path %d" evals_n evals_r;
   check_true "final times identical"
     (compare (Sim.Engine.now e_ref) (Sim.Engine.now e_new) = 0);
   List.iter (fun name -> check_same_trace name e_ref e_new) probes
@@ -453,6 +456,120 @@ let pruning_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* engine-owned output rows: a block may return a buffer it reuses *)
+
+(* Outputs a = 2u + x and b (time-varying when always-active, the held
+   input otherwise) on port 0, x - b on port 1.  With [reuse] it returns
+   the same buffers at every call and also scribbles on them outside
+   [outputs]: its derivative is written into port 1's buffer, and each
+   event fills port 0's with NaN.  The engine copies returned rows, so
+   neither may show in any output. *)
+let rows_block ~reuse ~feedthrough ~always_active =
+  let held = ref 0. in
+  let row0 = [| 0.; 0. |] and row1 = [| 0. |] in
+  let rows = [| row0; row1 |] in
+  B.make ~name:"rows" ~in_widths:[| 1 |] ~out_widths:[| 2; 1 |] ~event_inputs:1
+    ~cstate0:[| 0.5 |] ~feedthrough ~always_active
+    ~derivatives:(fun ctx ->
+      let d = ctx.B.inputs.(0).(0) -. ctx.B.cstate.(0) in
+      if reuse then begin
+        row1.(0) <- d;
+        row1
+      end
+      else [| d |])
+    ~on_event:(fun ctx ~port:_ ->
+      held := ctx.B.inputs.(0).(0);
+      if reuse then Array.fill row0 0 2 Float.nan;
+      [])
+    ~reset:(fun () -> held := 0.)
+    (fun ctx ->
+      let u = if feedthrough then ctx.B.inputs.(0).(0) else !held in
+      let x = ctx.B.cstate.(0) in
+      let a = (2. *. u) +. x in
+      let b = if always_active then Float.sin (3. *. ctx.B.time) else !held in
+      let c = x -. b in
+      if reuse then begin
+        row0.(0) <- a;
+        row0.(1) <- b;
+        row1.(0) <- c;
+        rows
+      end
+      else [| [| a; b |]; [| c |] |])
+
+(* sine -> plant -> rows; rows port 1 -> integrator; rows port 0 sampled *)
+let build_rows ~reuse ~feedthrough ~always_active ~debug =
+  let g = G.create () in
+  let wave = G.add g (C.sine_source ~freq_hz:0.7 ()) in
+  let plant =
+    G.add g (C.lti_continuous ~x0:[| 0. |] (Control.Plants.first_order ~tau:0.3 ~gain:2.))
+  in
+  let rows = G.add g (rows_block ~reuse ~feedthrough ~always_active) in
+  let integ = G.add g (C.integrator [| 0. |]) in
+  let sh = G.add g (C.sample_hold 2) in
+  let clock = G.add g (E.clock ~period:0.05 ()) in
+  G.connect_data g ~src:(wave, 0) ~dst:(plant, 0);
+  G.connect_data g ~src:(plant, 0) ~dst:(rows, 0);
+  G.connect_data g ~src:(rows, 1) ~dst:(integ, 0);
+  G.connect_data g ~src:(rows, 0) ~dst:(sh, 0);
+  List.iter (fun b -> G.connect_event g ~src:(clock, 0) ~dst:(b, 0)) [ rows; sh ];
+  let e = Sim.Engine.create ~debug g in
+  Sim.Engine.add_probe e ~name:"rows0" ~block:rows ~port:0;
+  Sim.Engine.add_probe e ~name:"rows1" ~block:rows ~port:1;
+  Sim.Engine.add_probe e ~name:"integral" ~block:integ ~port:0;
+  Sim.Engine.add_probe e ~name:"sh" ~block:sh ~port:0;
+  e
+
+let rows_probes = [ "rows0"; "rows1"; "integral"; "sh" ]
+
+(* every sample of a trace, "%h"-rendered *)
+let trace_text tr =
+  let b = Buffer.create 4096 in
+  Sim.Trace.iter
+    (fun t v ->
+      Buffer.add_string b (Printf.sprintf "%h:" t);
+      Array.iter (fun x -> Buffer.add_string b (Printf.sprintf "%h," x)) v;
+      Buffer.add_char b ';')
+    tr;
+  Buffer.contents b
+
+let rows_tests =
+  List.concat_map
+    (fun (feedthrough, always_active) ->
+      let kind =
+        Printf.sprintf "%s, %s"
+          (if feedthrough then "feedthrough" else "not feedthrough")
+          (if always_active then "always-active" else "event-held")
+      in
+      let run ~reuse ~debug =
+        let e = build_rows ~reuse ~feedthrough ~always_active ~debug in
+        Sim.Engine.run ~t_end:1. e;
+        Sim.Engine.run ~t_end:2. e;
+        e
+      in
+      [
+        test (kind ^ ": a reused output buffer is as good as fresh rows") (fun () ->
+            List.iter
+              (fun debug ->
+                let fresh = run ~reuse:false ~debug and reused = run ~reuse:true ~debug in
+                check_true "event logs identical"
+                  (Sim.Engine.event_log fresh = Sim.Engine.event_log reused);
+                check_int "step counts identical" (Sim.Engine.steps fresh)
+                  (Sim.Engine.steps reused);
+                List.iter
+                  (fun name ->
+                    Alcotest.(check string)
+                      (Printf.sprintf "%s (debug %b)" name debug)
+                      (trace_text (Sim.Engine.probe fresh name))
+                      (trace_text (Sim.Engine.probe reused name)))
+                  rows_probes)
+              [ true; false ]);
+        test (kind ^ ": reused buffers match the debug engine") (fun () ->
+            check_golden ~t_end:[ 1.; 2. ] ~probes:rows_probes
+              (build_rows ~reuse:true ~feedthrough ~always_active));
+      ])
+    [ (true, false); (false, true); (true, true); (false, false) ]
+
+(* ------------------------------------------------------------------ *)
 (* in-place integrator vs allocating integrator, directly *)
 
 let vdp t x =
@@ -510,12 +627,13 @@ let alloc_tests =
         let ds = Sim.Engine.steps e - s0 in
         check_true "progress" (ds > 500);
         let per_step = dw /. float_of_int ds in
-        (* a delivered event costs the handler's action list, the trace
-           samples of the instant and a handful of boxed floats — the
-           seed engine's full sweep was an order of magnitude above
-           this bound *)
-        if per_step > 200. then
-          Alcotest.failf "%.1f minor words per event delivery (budget 200)" per_step);
+        (* about 23 words: a delivered event costs the handler's action
+           list and a handful of boxed floats.  Copying a probe row per
+           recorded sample and consing an event-log tuple per delivery
+           read about 32; the seed engine's full sweep was an order of
+           magnitude above this bound *)
+        if per_step > 28. then
+          Alcotest.failf "%.1f minor words per event delivery (budget 28)" per_step);
     test "ODE path allocates below budget per sampling period" (fun () ->
         let e = build_ode_loop ~debug:false in
         Sim.Engine.run ~t_end:10. e;
@@ -527,19 +645,23 @@ let alloc_tests =
         let periods = 200. in
         check_true "integrates" (Sim.Engine.rhs_evals e - r0 > 1000);
         let per_period = dw /. periods in
-        (* about 300 words: the three sampled blocks' deliveries, the
-           probe rows and the plant output at each accepted step.  The
-           RHS itself allocates nothing; an allocating [Lti.deriv]
-           derivative, or the plant output re-evaluated in every RHS
-           call, adds about 160 words per period (18 RHS calls) *)
-        if per_period > 400. then
-          Alcotest.failf "%.1f minor words per sampling period (budget 400)" per_period);
+        (* about 150 words: mostly the three sampled blocks'
+           deliveries.  The RHS, the observer and the probes allocate
+           nothing; an allocating plant output ([Lti.output]) and a
+           copied probe row at each accepted step read about 300, an
+           allocating [Lti.deriv] derivative adds about 160 more *)
+        if per_period > 200. then
+          Alcotest.failf "%.1f minor words per sampling period (budget 200)" per_period);
   ]
 
 (* ------------------------------------------------------------------ *)
 (* the stock continuous blocks' in-place derivatives *)
 
 let deriv_of (b : B.t) = match b.B.derivatives with Some d -> d | None -> assert false
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_row a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
 
 let lti_tests =
   [
@@ -572,6 +694,38 @@ let lti_tests =
             Array.for_all2
               (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q))
               got want)
+          xs us);
+    qtest "lti_continuous outputs are Lti.output bit-for-bit" ~count:100
+      QCheck2.Gen.(
+        let* n = int_range 1 4 and* m = int_range 1 3 and* p = int_range 1 3 in
+        let* split_in = bool and* split_out = bool in
+        let* c = array_size (return (p * n)) (float_range (-5.) 5.)
+        and* d = array_size (return (p * m)) (float_range (-5.) 5.)
+        and* xs = list_size (return 3) (array_size (return n) (float_range (-10.) 10.))
+        and* us = list_size (return 3) (array_size (return m) (float_range (-10.) 10.)) in
+        return (n, m, p, split_in, split_out, c, d, xs, us))
+      (fun (n, m, p, split_in, split_out, c, d, xs, us) ->
+        let module M = Numerics.Matrix in
+        let sys =
+          Control.Lti.make ~domain:Control.Lti.Continuous ~a:(M.zeros n n) ~b:(M.zeros n m)
+            ~c:(M.init p n (fun i j -> c.((i * n) + j)))
+            ~d:(M.init p m (fun i j -> d.((i * m) + j)))
+        in
+        let b =
+          C.lti_continuous ~split_inputs:split_in ~split_outputs:split_out
+            ~x0:(Array.make n 0.) sys
+        in
+        (* the block reuses its rows: every call is compared before the
+           next one *)
+        List.for_all2
+          (fun x u ->
+            let inputs = if split_in then Array.map (fun v -> [| v |]) u else [| u |] in
+            let rows = b.B.outputs { B.time = 0.; inputs; cstate = x } in
+            let want = Control.Lti.output sys x u in
+            if split_out then
+              Array.length rows = p
+              && Array.for_all2 (fun r w -> same_row r [| w |]) rows want
+            else Array.length rows = 1 && same_row rows.(0) want)
           xs us);
     test "integrator derivative is its input" (fun () ->
         let u = [| 1.5; -2. |] in
@@ -778,14 +932,203 @@ let session_tests =
           check_int "RHS evaluations" rhs !n_rhs))
     session_cases
 
+(* the serve DC-motor/3-ECU document keeps nothing it records per
+   accepted step or per delivery past a minor collection *)
+let promotion_tests =
+  [
+    test "Session.cost promotes below budget (dc-motor, 3 ECUs)" (fun () ->
+        let _, create, _ = List.hd session_cases in
+        let s = create () in
+        (* warm up: first-eval validation, trace chunks, log and queue
+           sizing *)
+        for seed = 0 to 7 do
+          ignore (Lifecycle.Session.cost s ~seed)
+        done;
+        let costs = 32 in
+        let p0 = (Gc.quick_stat ()).Gc.promoted_words in
+        for seed = 100 to 100 + costs - 1 do
+          ignore (Lifecycle.Session.cost s ~seed)
+        done;
+        let per_cost = ((Gc.quick_stat ()).Gc.promoted_words -. p0) /. float_of_int costs in
+        (* about 70 words.  A copied probe row per accepted step and an
+           event-log tuple per delivery, both retained until the next
+           reset, promoted about 14 000 *)
+        if per_cost > 1000. then
+          Alcotest.failf "%.0f words promoted per Session.cost (budget 1000)" per_cost);
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* flat traces against a list model *)
+
+(* [model] holds the expected samples, newest first.  Rows handed out
+   by the trace are scribbled on after they are compared: the trace must
+   not share them. *)
+let trace_matches tr model =
+  let expected = Array.of_list (List.rev model) in
+  let n = Array.length expected in
+  let w = Sim.Trace.width tr in
+  let ok_values () =
+    let values = Sim.Trace.values tr in
+    let ok =
+      Array.length values = n
+      && Array.for_all2 (fun (_, r) v -> same_row r v) expected values
+    in
+    Array.iter (fun v -> Array.fill v 0 (Array.length v) Float.nan) values;
+    ok
+  in
+  let ok_last () =
+    match (Sim.Trace.last tr, model) with
+    | None, [] -> true
+    | Some (t, v), (t', r) :: _ ->
+        let ok = same_bits t t' && same_row v r in
+        Array.fill v 0 (Array.length v) Float.nan;
+        ok
+    | _ -> false
+  in
+  let ok_iter () =
+    let i = ref 0 and ok = ref true in
+    Sim.Trace.iter
+      (fun t v ->
+        (ok :=
+           !ok && !i < n
+           &&
+           let t', r = expected.(!i) in
+           same_bits t t' && same_row v r);
+        Array.fill v 0 (Array.length v) Float.nan;
+        incr i)
+      tr;
+    !ok && !i = n
+  in
+  let ok_component j =
+    let c = Sim.Trace.component tr j in
+    Array.length c.Control.Metrics.values = n
+    && Array.for_all2 (fun (_, r) x -> same_bits r.(j) x) expected c.Control.Metrics.values
+  in
+  Sim.Trace.length tr = n
+  && Array.for_all2 (fun (t, _) t' -> same_bits t t') expected (Sim.Trace.times tr)
+  && ok_values () && ok_last () && ok_iter ()
+  && List.for_all ok_component (List.init w Fun.id)
+  (* once more, after the handed-out rows were scribbled on *)
+  && ok_values () && ok_last ()
+
+let trace_ops_gen =
+  QCheck2.Gen.(
+    let* w = int_range 1 3 and* n = int_range 0 3000 in
+    let op =
+      let* k = int_range 0 1999 and* row = array_size (return w) (float_range (-1e3) 1e3) in
+      return (if k = 0 then `Clear else if k < 300 then `Repeat row else `Next row)
+    in
+    let* ops = list_size (return n) op in
+    return (w, ops))
+
+let run_trace_model (w, ops) =
+  let tr = Sim.Trace.create ~width:w in
+  let model = ref [] and clock = ref 0. and ok = ref true in
+  List.iter
+    (fun op ->
+      match (op, !model) with
+      | `Clear, _ ->
+          ok := !ok && trace_matches tr !model;
+          Sim.Trace.clear tr;
+          model := []
+      | `Repeat row, (t, _) :: rest ->
+          let src = Array.copy row in
+          Sim.Trace.record tr t src;
+          Array.fill src 0 w Float.nan;
+          model := (t, row) :: rest
+      | (`Repeat row | `Next row), _ ->
+          clock := !clock +. 0.125;
+          let src = Array.copy row in
+          Sim.Trace.record tr !clock src;
+          Array.fill src 0 w Float.nan;
+          model := (!clock, row) :: !model)
+    ops;
+  !ok && trace_matches tr !model
+
+let trace_tests =
+  [
+    qtest "flat trace matches a list model across chunks, repeats and clears" ~count:25
+      trace_ops_gen run_trace_model;
+    test "clear keeps no sample and the trace is reusable" (fun () ->
+        let row i = [| float_of_int i; -.float_of_int i |] in
+        let tr = Sim.Trace.create ~width:2 in
+        for i = 0 to 2500 do
+          Sim.Trace.record tr (float_of_int i) (row i)
+        done;
+        Sim.Trace.clear tr;
+        check_int "empty" 0 (Sim.Trace.length tr);
+        check_true "no last sample" (Sim.Trace.last tr = None);
+        for i = 0 to 1500 do
+          Sim.Trace.record tr (float_of_int (2 * i)) (row (i + 7))
+        done;
+        check_true "reused"
+          (trace_matches tr
+             (List.rev (List.init 1501 (fun i -> (float_of_int (2 * i), row (i + 7)))))));
+  ]
+
+(* ------------------------------------------------------------------ *)
+(* the flat event log *)
+
+(* two incommensurate clocks, their synchronization and a counter:
+   about 950 deliveries per simulated second *)
+let build_log_fixture () =
+  let g = G.create () in
+  let c1 = G.add g (E.clock ~period:0.003 ()) in
+  let c2 = G.add g (E.clock ~period:0.007 ()) in
+  let sync = G.add g (E.synchronization ~inputs:2 ()) in
+  let counter = G.add g (E.event_counter ()) in
+  G.connect_event g ~src:(c1, 0) ~dst:(sync, 0);
+  G.connect_event g ~src:(c2, 0) ~dst:(sync, 1);
+  G.connect_event g ~src:(sync, 0) ~dst:(counter, 0);
+  (Sim.Engine.create g, [ c1; c2; sync; counter ])
+
+let event_log_tests =
+  [
+    test "split runs log what one run logs, across reset" (fun () ->
+        let one, ids = build_log_fixture () in
+        Sim.Engine.run ~t_end:1. one;
+        let split, _ = build_log_fixture () in
+        Sim.Engine.run ~t_end:0.37 split;
+        Sim.Engine.run ~t_end:1. split;
+        check_true "grows far past its initial capacity" (Sim.Engine.steps one > 900);
+        let same_as_one e =
+          Sim.Engine.event_log e = Sim.Engine.event_log one
+          && List.for_all
+               (fun block ->
+                 Sim.Engine.activations e ~block = Sim.Engine.activations one ~block)
+               ids
+        in
+        check_true "split run logs the same deliveries" (same_as_one split);
+        check_int "log length is the step count" (Sim.Engine.steps one)
+          (List.length (Sim.Engine.event_log one));
+        check_true "activations ascending"
+          (List.for_all
+             (fun block ->
+               let ts = Sim.Engine.activations one ~block in
+               List.sort compare ts = ts && ts <> [])
+             ids);
+        Sim.Engine.reset split;
+        check_true "empty log after reset" (Sim.Engine.event_log split = []);
+        check_true "no activations after reset"
+          (List.for_all (fun block -> Sim.Engine.activations split ~block = []) ids);
+        check_int "no outputs calls after reset" 0 (Sim.Engine.block_evals split);
+        Sim.Engine.run ~t_end:1. split;
+        check_true "rerun logs the same deliveries" (same_as_one split);
+        check_int "rerun makes the same outputs calls" (Sim.Engine.block_evals one)
+          (Sim.Engine.block_evals split));
+  ]
+
 let suites =
   [
     ("sim_perf.golden", golden_tests);
     ("sim_perf.pruning", pruning_tests);
     ("sim_perf.ode_inplace", ode_tests);
-    ("sim_perf.alloc", alloc_tests);
+    ("sim_perf.rows", rows_tests);
+    ("sim_perf.alloc", alloc_tests @ promotion_tests);
     ("sim_perf.lti", lti_tests);
     ("sim_perf.session", session_tests);
+    ("sim_perf.trace", trace_tests);
+    ("sim_perf.event_log", event_log_tests);
     ("sim_perf.queue_space", queue_space_tests);
     ("sim_perf.validation", validation_tests);
   ]
