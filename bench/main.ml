@@ -358,14 +358,14 @@ let bench_ablation_delay_jittered =
    grid (seeds axis innermost, so cache hits and engine reuse both
    apply) through three paths:
 
-   - explore_throughput: the streamed work-stealing map-reduce with
+   - explore_throughput: the streamed ordered map-reduce with
      per-domain engine reuse and a fresh cache per run (cold) — the
      headline candidates/sec number;
    - explore_throughput_warm: same pipeline against a shared
      pre-filled cache (every candidate replays, measuring the
      memo/reduce overhead floor);
-   - explore_chunked_rebuild: the pre-map-reduce path — eager list,
-     static chunks, adequation + diagram + engine rebuilt for every
+   - explore_chunked_rebuild: the pre-map-reduce path — eager list
+     through Pool.map, adequation + diagram + engine rebuilt for every
      candidate (engine_reuse:false) — the speedup baseline.
 
    All three produce bit-for-bit identical points

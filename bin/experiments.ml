@@ -1282,15 +1282,15 @@ let explore () =
 (* explore-scale: the streamed map-reduce sweep at grid sizes no
    eager candidate list could hold — anytime Pareto snapshots while
    it runs, then a subsampled bit-for-bit check of the streamed
-   work-stealing engine-reuse pipeline against the
-   rebuild-per-candidate reference *)
+   engine-reuse pipeline against the rebuild-per-candidate
+   reference *)
 
 (* total candidate count; set by --candidates (CI smoke uses 10^4,
    the EXPERIMENTS.md entry is recorded at 10^5) *)
 let explore_scale_target = ref 10_000
 
 let explore_scale () =
-  header "explore-scale: streamed sweep — work stealing, anytime front, subsample check";
+  header "explore-scale: streamed sweep — ordered map-reduce, anytime front, subsample check";
   (* short screening horizon: triaging a huge grid is the regime the
      streamed engine-reuse pipeline targets *)
   let design =

@@ -52,11 +52,20 @@ let candidate_key ?strategy design alg_key (c : Grid.candidate) durations =
    Along the seeds axis of a grid, consecutive candidates share the
    (architecture, durations, strategy) cell and differ only in the
    jitter seed — so the adequation can be done once per cell per
-   domain, and the co-simulation engine compiled once per schedule
-   ([Session]) and reseeded per candidate.  One slot per domain is
-   enough because the grid's row-major order keeps seeds innermost. *)
+   domain, and the co-simulation engine compiled once per cell and
+   timing law ([Session]) and reseeded per candidate.  One slot per
+   domain is enough because the grid's row-major order keeps seeds
+   innermost and the pool hands out consecutive candidates together.
+   The session lives beside the implementation it was compiled from,
+   so reusing it needs no digest of the schedule. *)
 
-type mapping = Mapped of Methodology.implementation | Unmappable
+type mapped = {
+  impl : Methodology.implementation;
+  mutable session : ((Exec.Timing_law.t * float) * Session.t) option;
+      (* compiled for this (law, bcet_frac) *)
+}
+
+type mapping = Mapped of mapped | Unmappable
 
 let impl_slot : (string * mapping) option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
@@ -82,7 +91,7 @@ let obtain_mapping ?strategy design alg_key (c : Grid.candidate) durations =
           Methodology.implement ?strategy ~design
             ~architecture:c.Grid.platform.Grid.architecture ~durations ()
         with
-        | impl -> Mapped impl
+        | impl -> Mapped { impl; session = None }
         | exception Aaa.Adequation.Infeasible _ -> Unmappable
       in
       r := Some (k, m);
@@ -97,24 +106,8 @@ let infeasible_outcome =
     o_infeasible = true;
   }
 
-let outcome_of_impl design mode (impl : Methodology.implementation) ~engine_reuse =
+let outcome_of_impl (impl : Methodology.implementation) cost =
   let static = impl.Methodology.static in
-  let cost =
-    match mode with
-    | Translator.Delay_graph.Jittered { law; bcet_frac; seed } when engine_reuse ->
-        (* reseed + reset one compiled session instead of rebuilding
-           the diagram and delay graph — bit-for-bit equal to the
-           rebuild by the [Session] determinism contract *)
-        let skey = Session.key ~law ~bcet_frac ~design ~implementation:impl () in
-        let s =
-          Session.obtain ~key:skey ~create:(fun () ->
-              Session.create ~law ~bcet_frac ~design ~implementation:impl ())
-        in
-        Session.cost s ~seed
-    | mode ->
-        (design : Design.t).Design.cost
-          (Methodology.simulate_implemented ~mode design impl)
-  in
   {
     o_cost = cost;
     o_io_latency = Translator.Temporal_model.io_latency static;
@@ -122,6 +115,27 @@ let outcome_of_impl design mode (impl : Methodology.implementation) ~engine_reus
     o_fits_period = static.Translator.Temporal_model.fits_period;
     o_infeasible = false;
   }
+
+let rebuilt_cost (design : Design.t) mode impl =
+  design.Design.cost (Methodology.simulate_implemented ~mode design impl)
+
+(* a jittered candidate reseeds + resets the slot's compiled session
+   (compiled on first use and whenever the timing law changes) instead
+   of rebuilding the diagram and delay graph — bit-for-bit equal to
+   the rebuild by the [Session] determinism contract *)
+let mapped_cost design m mode =
+  match mode with
+  | Translator.Delay_graph.Jittered { law; bcet_frac; seed } ->
+      let s =
+        match m.session with
+        | Some (timing, s) when timing = (law, bcet_frac) -> s
+        | _ ->
+            let s = Session.create ~law ~bcet_frac ~design ~implementation:m.impl () in
+            m.session <- Some ((law, bcet_frac), s);
+            s
+      in
+      Session.cost s ~seed
+  | mode -> rebuilt_cost design mode m.impl
 
 let eval_job ?cache ?strategy ~engine_reuse
     ((design : Design.t), alg_key, ideal_cost, (c : Grid.candidate)) =
@@ -134,13 +148,13 @@ let eval_job ?cache ?strategy ~engine_reuse
         if engine_reuse then
           match obtain_mapping ?strategy design alg_key c durations with
           | Unmappable -> infeasible_outcome
-          | Mapped impl -> outcome_of_impl design c.Grid.mode impl ~engine_reuse
+          | Mapped m -> outcome_of_impl m.impl (mapped_cost design m c.Grid.mode)
         else
           match
             Methodology.implement ?strategy ~design
               ~architecture:c.Grid.platform.Grid.architecture ~durations ()
           with
-          | impl -> outcome_of_impl design c.Grid.mode impl ~engine_reuse
+          | impl -> outcome_of_impl impl (rebuilt_cost design c.Grid.mode impl)
           | exception Aaa.Adequation.Infeasible _ -> infeasible_outcome)
   in
   {
@@ -183,8 +197,8 @@ let prepare ?pool ?cache designs =
       (design, alg_key, ideal.o_cost))
     designs
 
-let evaluate ?pool ?cache ?strategy ?(engine_reuse = true) ?chunk ~designs
-    ~candidates () =
+let evaluate ?pool ?cache ?strategy ?(engine_reuse = true) ~designs ~candidates
+    () =
   if designs = [] then invalid_arg "Explorer.evaluate: no designs";
   if candidates = [] then invalid_arg "Explorer.evaluate: no candidates";
   let pool = match pool with Some p -> p | None -> Explore.Pool.default () in
@@ -195,7 +209,7 @@ let evaluate ?pool ?cache ?strategy ?(engine_reuse = true) ?chunk ~designs
         List.map (fun c -> (design, alg_key, ideal_cost, c)) candidates)
       prepared
   in
-  Explore.Pool.map ?chunk pool (eval_job ?cache ?strategy ~engine_reuse) jobs
+  Explore.Pool.map pool (eval_job ?cache ?strategy ~engine_reuse) jobs
 
 (* ------------------------------------------------------------------ *)
 (* streaming evaluation *)
@@ -229,8 +243,8 @@ let front_points f =
   Explore.Pareto.sort_by ~objective:(fun p -> p.price)
     (Explore.Pareto.Front.elements f)
 
-let evaluate_seq ?pool ?cache ?strategy ?(engine_reuse = true) ?chunk
-    ?snapshot_every ?snapshot ?(sample_every = 0) ~designs ~candidates () =
+let evaluate_seq ?pool ?cache ?strategy ?(engine_reuse = true) ?snapshot_every
+    ?snapshot ?(sample_every = 0) ~designs ~candidates () =
   if designs = [] then invalid_arg "Explorer.evaluate_seq: no designs";
   let pool = match pool with Some p -> p | None -> Explore.Pool.default () in
   let prepared = prepare ~pool ?cache designs in
@@ -277,7 +291,7 @@ let evaluate_seq ?pool ?cache ?strategy ?(engine_reuse = true) ?chunk
       snapshot
   in
   let a =
-    Explore.Pool.map_reduce_seq ?chunk ?snapshot_every ?snapshot pool
+    Explore.Pool.map_reduce_seq ?snapshot_every ?snapshot pool
       ~map:(eval_job ?cache ?strategy ~engine_reuse)
       ~reduce
       ~init:

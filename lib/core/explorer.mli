@@ -42,7 +42,6 @@ val evaluate :
   ?cache:outcome Explore.Cache.t ->
   ?strategy:Aaa.Adequation.strategy ->
   ?engine_reuse:bool ->
-  ?chunk:int ->
   designs:Design.t list ->
   candidates:Explore.Grid.candidate list ->
   unit ->
@@ -55,12 +54,11 @@ val evaluate :
 
     With [engine_reuse] (the default) each domain reuses its last
     adequation across the seeds axis of the grid and evaluates
-    jittered candidates by reseed + reset of one compiled
-    {!Session} per schedule, instead of re-implementing and
-    re-compiling per candidate — bit-for-bit the same points by the
-    Session determinism contract ([engine_reuse:false] restores the
+    jittered candidates by reseed + reset of the {!Session} compiled
+    from that adequation, instead of re-implementing and re-compiling
+    per candidate — bit-for-bit the same points by the Session
+    determinism contract ([engine_reuse:false] restores the
     rebuild-per-candidate path, as a reference and for benchmarks).
-    [chunk] overrides the pool's work-stealing chunk size.
 
     The cache key identifies the design by name, period, horizon and
     extracted algorithm graph — designs differing only inside their
@@ -93,7 +91,6 @@ val evaluate_seq :
   ?cache:outcome Explore.Cache.t ->
   ?strategy:Aaa.Adequation.strategy ->
   ?engine_reuse:bool ->
-  ?chunk:int ->
   ?snapshot_every:int ->
   ?snapshot:(progress -> unit) ->
   ?sample_every:int ->

@@ -1,8 +1,6 @@
-type task = unit -> unit
-
 type t = {
   n_domains : int;
-  queue : task Queue.t;  (* job-announcement queue the workers block on *)
+  queue : (unit -> unit) Queue.t;  (* job-announcement queue the workers block on *)
   lock : Mutex.t;
   nonempty : Condition.t;
   mutable workers : unit Domain.t list;
@@ -95,295 +93,139 @@ let default () =
   Mutex.unlock default_lock;
   t
 
+let sequential t = t.n_domains <= 1 || Domain.DLS.get inside_task
+
 (* ------------------------------------------------------------------ *)
-(* per-slot work deques
+(* the scheduler: one ordered map-reduce over a shared chunk source
 
-   Each participating domain owns one deque of chunk thunks.  The
-   owner pushes and pops at the front (low-index end, so the
-   streaming reducer's reorder buffer stays small); a thief that finds
-   everything else empty locks a victim's deque and carries off the
-   BACK half in one grab — stealing half rather than one amortises
-   deque traffic when chunk granularity is fine.  Chunks carry their
-   own result placement (by input index), so which domain runs a
-   chunk never shows in the output. *)
+   Every participating domain takes the next [chunk] elements off the
+   input sequence, in input order, under the job lock.  The submitting
+   domain folds chunk results strictly in chunk order and runs chunks
+   itself while the next one to fold is still in flight elsewhere.
+   Work only ever leaves the source, so a worker that finds it empty
+   is done with the job; aborting the job just empties the source. *)
 
-module Deque = struct
-  type 'a t = {
-    mutable buf : 'a option array;
-    mutable head : int;  (* index of the first element *)
-    mutable len : int;
-    lock : Mutex.t;
-  }
-
-  let create () =
-    { buf = Array.make 16 None; head = 0; len = 0; lock = Mutex.create () }
-
-  let locked d f =
-    Mutex.lock d.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock d.lock) f
-
-  let grow d =
-    let cap = Array.length d.buf in
-    let buf = Array.make (2 * cap) None in
-    for i = 0 to d.len - 1 do
-      buf.(i) <- d.buf.((d.head + i) mod cap)
+let ordered_fold t ~chunk ~emit ~map:fm ~reduce ~init xs =
+  if t.closed then invalid_arg "Pool: the pool is shut down";
+  let lock = Mutex.create () and ready = Condition.create () in
+  let cursor = ref xs and empty = ref false and taken = ref 0 in
+  (* a producer that raises is remembered and re-raised only after
+     everything it yielded has been folded — exactly where the
+     sequential fold would raise *)
+  let producer_exn = ref None in
+  (* results of chunks finished ahead of the fold, by chunk id *)
+  let finished = Hashtbl.create 16 in
+  (* the next chunk of the source ([lock] held; never raises) *)
+  let take () =
+    let items = ref [] and k = ref 0 in
+    while !k < chunk && not !empty do
+      match Seq.uncons !cursor with
+      | Some (x, rest) ->
+          cursor := rest;
+          items := x :: !items;
+          incr k
+      | None -> empty := true
+      | exception e ->
+          producer_exn := Some (e, Printexc.get_raw_backtrace ());
+          empty := true
     done;
-    d.buf <- buf;
-    d.head <- 0
-
-  let push_back d x =
-    locked d (fun () ->
-        if d.len = Array.length d.buf then grow d;
-        d.buf.((d.head + d.len) mod Array.length d.buf) <- Some x;
-        d.len <- d.len + 1)
-
-  let pop_front d =
-    locked d (fun () ->
-        if d.len = 0 then None
-        else begin
-          let x = d.buf.(d.head) in
-          d.buf.(d.head) <- None;
-          d.head <- (d.head + 1) mod Array.length d.buf;
-          d.len <- d.len - 1;
-          x
-        end)
-
-  (* heuristic victim selection only: unlocked word-sized read *)
-  let size d = d.len
-
-  (* removes the back half (at least one element when non-empty) and
-     returns it front-to-back *)
-  let steal_half d =
-    locked d (fun () ->
-        if d.len = 0 then []
-        else begin
-          let n = (d.len + 1) / 2 in
-          let keep = d.len - n in
-          let cap = Array.length d.buf in
-          let stolen = ref [] in
-          for i = d.len - 1 downto keep do
-            let j = (d.head + i) mod cap in
-            (match d.buf.(j) with
-            | Some x -> stolen := x :: !stolen
-            | None -> ());
-            d.buf.(j) <- None
-          done;
-          d.len <- keep;
-          !stolen
-        end)
-end
-
-(* ------------------------------------------------------------------ *)
-(* jobs: one map / map-reduce call scheduled over the deques
-
-   A job is announced to the sleeping workers through the pool queue
-   (one participate task per worker); the submitting domain takes
-   slot 0 and works too.  Work enters the system either dealt upfront
-   (list maps) or pulled in batches from a streaming producer under
-   the job lock; it then circulates between deques by stealing.
-   [issued]/[completed] count chunks, so a domain can tell
-   "everything is done" apart from "the rest is in flight elsewhere
-   and may spill back via a steal". *)
-
-type job = {
-  jlock : Mutex.t;
-  jcond : Condition.t;  (* signalled on completion and on queued work *)
-  deques : (unit -> unit) Deque.t array;
-  mutable pull : (unit -> (unit -> unit) list) option;
-      (* streaming producer: next batch of chunk thunks, called with
-         [jlock] held; cleared once exhausted.  Must not raise. *)
-  mutable issued : int;
-  mutable completed : int;
-  mutable abort : bool;
-  next_slot : int Atomic.t;
-}
-
-let make_job ~slots =
-  {
-    jlock = Mutex.create ();
-    jcond = Condition.create ();
-    deques = Array.init slots (fun _ -> Deque.create ());
-    pull = None;
-    issued = 0;
-    completed = 0;
-    abort = false;
-    next_slot = Atomic.make 1;
-  }
-
-(* called by chunk thunks once their results are placed *)
-let chunk_done job =
-  Mutex.lock job.jlock;
-  job.completed <- job.completed + 1;
-  Condition.broadcast job.jcond;
-  Mutex.unlock job.jlock
-
-let wake job =
-  Mutex.lock job.jlock;
-  Condition.broadcast job.jcond;
-  Mutex.unlock job.jlock
-
-let finished job = Option.is_none job.pull && job.completed >= job.issued
-
-let steal job ~slot =
-  let slots = Array.length job.deques in
-  let victim = ref (-1) and best = ref 0 in
-  for i = 0 to slots - 1 do
-    if i <> slot then begin
-      let s = Deque.size job.deques.(i) in
-      if s > !best then begin
-        best := s;
-        victim := i
-      end
+    if !k = 0 then None
+    else begin
+      let id = !taken in
+      incr taken;
+      Some (id, List.rev !items)
     end
-  done;
-  if !victim < 0 then None
-  else
-    match Deque.steal_half job.deques.(!victim) with
-    | [] -> None
-    | first :: rest ->
-        List.iter (Deque.push_back job.deques.(slot)) rest;
-        if rest <> [] then wake job;
-        Some first
-
-(* pull the next producer batch into this slot's deque, returning one
-   thunk to run now *)
-let refill job ~slot =
-  Mutex.lock job.jlock;
-  let batch =
-    match job.pull with
-    | None -> []
-    | Some pull ->
-        if job.abort then begin
-          job.pull <- None;
-          []
-        end
-        else begin
-          let thunks = pull () in
-          (match thunks with [] -> job.pull <- None | _ -> ());
-          job.issued <- job.issued + List.length thunks;
-          thunks
-        end
   in
-  Mutex.unlock job.jlock;
-  match batch with
-  | [] -> None
-  | first :: rest ->
-      List.iter (Deque.push_back job.deques.(slot)) rest;
-      if rest <> [] then wake job;
-      Some first
-
-let get_work job ~slot =
-  match Deque.pop_front job.deques.(slot) with
-  | Some _ as w -> w
-  | None -> (
-      match steal job ~slot with
-      | Some _ as w -> w
-      | None -> refill job ~slot)
-
-(* worker-side job loop: run chunks until no work can ever reappear *)
-let participate job ~slot =
-  let rec loop () =
-    if job.abort then ()
-    else
-      match get_work job ~slot with
-      | Some thunk ->
-          thunk ();
-          loop ()
-      | None ->
-          Mutex.lock job.jlock;
-          let stop = job.abort || finished job in
-          if not stop then Condition.wait job.jcond job.jlock;
-          Mutex.unlock job.jlock;
-          if not stop then loop ()
+  let run items =
+    run_task (fun () ->
+        List.map
+          (fun x -> try Ok (fm x) with e -> Error (e, Printexc.get_raw_backtrace ()))
+          items)
   in
-  loop ()
-
-(* announce the job: each sleeping worker claims a slot and joins *)
-let announce t job =
-  let slots = Array.length job.deques in
+  let rec participate () =
+    Mutex.lock lock;
+    let work = take () in
+    Mutex.unlock lock;
+    match work with
+    | None -> ()
+    | Some (id, items) ->
+        let out = run items in
+        Mutex.lock lock;
+        Hashtbl.replace finished id out;
+        Condition.signal ready;
+        Mutex.unlock lock;
+        participate ()
+  in
   Mutex.lock t.lock;
-  for _ = 1 to List.length t.workers do
-    Queue.add
-      (fun () ->
-        let slot = Atomic.fetch_and_add job.next_slot 1 in
-        if slot < slots then participate job ~slot)
-      t.queue
-  done;
+  List.iter (fun _ -> Queue.add participate t.queue) t.workers;
   Condition.broadcast t.nonempty;
-  Mutex.unlock t.lock
+  Mutex.unlock t.lock;
+  let acc = ref init and folded = ref 0 and count = ref 0 in
+  let fold out =
+    List.iter
+      (function
+        | Ok v ->
+            acc := reduce !acc v;
+            incr count;
+            emit !count !acc
+        | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+      out;
+    incr folded
+  in
+  let rec drive () =
+    Mutex.lock lock;
+    match Hashtbl.find_opt finished !folded with
+    | Some out ->
+        Hashtbl.remove finished !folded;
+        Mutex.unlock lock;
+        fold out;
+        drive ()
+    | None -> (
+        match take () with
+        | Some (id, items) ->
+            Mutex.unlock lock;
+            let out = run items in
+            if id = !folded then fold out
+            else begin
+              Mutex.lock lock;
+              Hashtbl.replace finished id out;
+              Mutex.unlock lock
+            end;
+            drive ()
+        | None when !folded = !taken -> Mutex.unlock lock
+        | None ->
+            Condition.wait ready lock;
+            Mutex.unlock lock;
+            drive ())
+  in
+  (match drive () with
+  | () -> ()
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.lock lock;
+      empty := true;
+      Mutex.unlock lock;
+      Printexc.raise_with_backtrace e bt);
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) !producer_exn;
+  !acc
 
-(* ------------------------------------------------------------------ *)
-(* list mapping: chunks dealt round-robin over the deques upfront, one
-   result slot per input element *)
+let map ?chunk t f xs =
+  let n = List.length xs in
+  let chunk =
+    match chunk with
+    | Some c ->
+        if c < 1 then invalid_arg "Pool.map: chunk must be at least 1";
+        c
+    | None -> max 1 ((n + (4 * t.n_domains) - 1) / (4 * t.n_domains))
+  in
+  if n <= 1 || sequential t then List.map f xs
+  else
+    List.rev
+      (ordered_fold t ~chunk ~emit:(fun _ _ -> ()) ~map:f
+         ~reduce:(fun acc y -> y :: acc) ~init:[] (List.to_seq xs))
 
-let mapi ?chunk t f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f 0 x ]
-  | _ when t.n_domains <= 1 || Domain.DLS.get inside_task -> List.mapi f xs
-  | _ ->
-      if t.closed then invalid_arg "Pool.map: pool is shut down";
-      let arr = Array.of_list xs in
-      let n = Array.length arr in
-      let results = Array.make n None in
-      let chunk_size =
-        match chunk with
-        | Some c ->
-            if c < 1 then invalid_arg "Pool.map: chunk must be at least 1";
-            c
-        | None -> max 1 ((n + (4 * t.n_domains) - 1) / (4 * t.n_domains))
-      in
-      let n_chunks = (n + chunk_size - 1) / chunk_size in
-      let job = make_job ~slots:t.n_domains in
-      let run_chunk lo () =
-        let hi = min n (lo + chunk_size) in
-        for i = lo to hi - 1 do
-          results.(i) <-
-            (try Some (Ok (run_task (fun () -> f i arr.(i))))
-             with e -> Some (Error (e, Printexc.get_raw_backtrace ())))
-        done;
-        chunk_done job
-      in
-      job.issued <- n_chunks;
-      for c = 0 to n_chunks - 1 do
-        Deque.push_back job.deques.(c mod t.n_domains)
-          (run_chunk (c * chunk_size))
-      done;
-      announce t job;
-      participate job ~slot:0;
-      (* chunks still in flight on other domains *)
-      Mutex.lock job.jlock;
-      while job.completed < job.issued do
-        Condition.wait job.jcond job.jlock
-      done;
-      Mutex.unlock job.jlock;
-      (* deterministic exception selection: smallest input index wins *)
-      for i = 0 to n - 1 do
-        match results.(i) with
-        | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
-        | Some (Ok _) | None -> ()
-      done;
-      List.init n (fun i ->
-          match results.(i) with
-          | Some (Ok v) -> v
-          | Some (Error _) | None -> assert false)
-
-let map ?chunk t f xs = mapi ?chunk t (fun _ x -> f x) xs
-
-let map_reduce ?chunk t ~map:fm ~reduce ~init xs =
-  List.fold_left reduce init (map ?chunk t fm xs)
-
-(* ------------------------------------------------------------------ *)
-(* streamed map-reduce: the input is a [Seq.t] pulled in batches, so
-   huge candidate spaces are never materialized; mapped results are
-   folded strictly in input order by the submitting domain, which
-   interleaves reducing with evaluating chunks of its own *)
-
-let default_stream_chunk = 8
-let batch_chunks = 4
-
-let map_reduce_seq ?(chunk = default_stream_chunk) ?(snapshot_every = 4096)
-    ?snapshot t ~map:fm ~reduce ~init xs =
+let map_reduce_seq ?(chunk = 8) ?(snapshot_every = 4096) ?snapshot t ~map:fm
+    ~reduce ~init xs =
   if chunk < 1 then invalid_arg "Pool.map_reduce_seq: chunk must be at least 1";
   if snapshot_every < 1 then
     invalid_arg "Pool.map_reduce_seq: snapshot_every must be at least 1";
@@ -392,8 +234,8 @@ let map_reduce_seq ?(chunk = default_stream_chunk) ?(snapshot_every = 4096)
     | Some cb when count mod snapshot_every = 0 -> cb ~evaluated:count acc
     | Some _ | None -> ()
   in
-  if t.n_domains <= 1 || Domain.DLS.get inside_task then
-    (* sequential reference: same fold order, same snapshot cadence *)
+  if sequential t then
+    (* the reference: same fold order, same snapshot cadence *)
     let acc, _ =
       Seq.fold_left
         (fun (acc, count) x ->
@@ -404,119 +246,4 @@ let map_reduce_seq ?(chunk = default_stream_chunk) ?(snapshot_every = 4096)
         (init, 0) xs
     in
     acc
-  else begin
-    if t.closed then invalid_arg "Pool.map_reduce_seq: pool is shut down";
-    let job = make_job ~slots:t.n_domains in
-    (* completed chunk results keyed by chunk id; reduced in id order *)
-    let pending = Hashtbl.create 64 in
-    let cursor = ref xs in
-    let next_chunk = ref 0 in
-    (* a producer that raises is remembered and re-raised by the
-       submitter only after everything it yielded has been reduced —
-       exactly where the sequential fold would raise *)
-    let producer_exn = ref None in
-    let chunk_thunk id items () =
-      let out =
-        Array.map
-          (fun x ->
-            try Ok (run_task (fun () -> fm x))
-            with e -> Error (e, Printexc.get_raw_backtrace ()))
-          items
-      in
-      Mutex.lock job.jlock;
-      Hashtbl.replace pending id out;
-      job.completed <- job.completed + 1;
-      Condition.broadcast job.jcond;
-      Mutex.unlock job.jlock
-    in
-    (* pull up to [batch_chunks] chunks off the cursor (jlock held) *)
-    let pull () =
-      let thunks = ref [] in
-      let exhausted = ref false in
-      for _ = 1 to batch_chunks do
-        if not !exhausted then begin
-          let items = ref [] in
-          let k = ref 0 in
-          while !k < chunk && not !exhausted do
-            match Seq.uncons !cursor with
-            | Some (x, rest) ->
-                cursor := rest;
-                items := x :: !items;
-                incr k
-            | None -> exhausted := true
-            | exception e ->
-                if !producer_exn = None then
-                  producer_exn := Some (e, Printexc.get_raw_backtrace ());
-                exhausted := true
-          done;
-          match !items with
-          | [] -> ()
-          | items ->
-              let id = !next_chunk in
-              incr next_chunk;
-              thunks :=
-                chunk_thunk id (Array.of_list (List.rev items)) :: !thunks
-        end
-      done;
-      List.rev !thunks
-    in
-    job.pull <- Some pull;
-    announce t job;
-    let acc = ref init in
-    let reduced_chunks = ref 0 in
-    let reduced_elems = ref 0 in
-    let abort_with e bt =
-      Mutex.lock job.jlock;
-      job.abort <- true;
-      job.pull <- None;
-      Condition.broadcast job.jcond;
-      Mutex.unlock job.jlock;
-      Printexc.raise_with_backtrace e bt
-    in
-    let reduce_ready out =
-      (* fold one chunk on the submitting domain; the first captured
-         exception in input order aborts the job *)
-      Array.iter
-        (fun r ->
-          match r with
-          | Error (e, bt) -> abort_with e bt
-          | Ok v -> (
-              match reduce !acc v with
-              | acc' ->
-                  acc := acc';
-                  incr reduced_elems;
-                  emit !reduced_elems acc'
-              | exception e -> abort_with e (Printexc.get_raw_backtrace ())))
-        out;
-      incr reduced_chunks
-    in
-    let rec drive () =
-      Mutex.lock job.jlock;
-      match Hashtbl.find_opt pending !reduced_chunks with
-      | Some out ->
-          Hashtbl.remove pending !reduced_chunks;
-          Mutex.unlock job.jlock;
-          reduce_ready out;
-          drive ()
-      | None ->
-          let all_done = finished job && !reduced_chunks >= !next_chunk in
-          Mutex.unlock job.jlock;
-          if not all_done then begin
-            (match get_work job ~slot:0 with
-            | Some thunk -> thunk ()
-            | None ->
-                Mutex.lock job.jlock;
-                if
-                  (not (Hashtbl.mem pending !reduced_chunks))
-                  && not (finished job)
-                then Condition.wait job.jcond job.jlock;
-                Mutex.unlock job.jlock);
-            drive ()
-          end
-    in
-    drive ();
-    (match !producer_exn with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    !acc
-  end
+  else ordered_fold t ~chunk ~emit ~map:fm ~reduce ~init xs

@@ -1,5 +1,5 @@
-(** Fixed-size domain worker pool with work-stealing deques and
-    deterministic mapping.
+(** Fixed-size domain worker pool with deterministic, ordered
+    mapping.
 
     The design-space engine's unit of parallelism is one candidate
     evaluation — an adequation plus a co-simulation, milliseconds to
@@ -8,22 +8,22 @@
     near-linearly (cf. the map-reduce synthesis of Alimguzhin et al.,
     arXiv:1210.2276).
 
-    Scheduling: each participating domain owns a deque of work chunks;
-    the owner works off the front, and a domain that runs dry steals
-    the {e back half} of the fullest other deque in one grab.  Compared
-    to the static chunk assignment this replaces, irregular
-    per-element costs (a cache hit is ~µs, a cold co-simulation ~ms)
-    no longer leave domains idle at chunk barriers.  Chunks carry
-    their result placement with them, so stealing never shows in the
-    output.
+    Scheduling: one mechanism serves every operation.  Each
+    participating domain takes the next chunk of the input, in input
+    order, off one shared source under the job's lock; the submitting
+    domain folds the chunk results strictly in chunk order and runs
+    chunks itself while it waits.  Irregular per-element costs (a
+    cache hit is ~µs, a cold co-simulation ~ms) leave no domain idle
+    while input remains, because a domain takes a new chunk as soon
+    as it finishes one.
 
     Determinism contract: {!map} applies a {e pure} function to every
-    element and places each result by its input index, so the output
+    element and returns the results in input order, so the output
     equals [List.map f xs] {e bit for bit} whatever the domain count,
-    chunking, stealing or scheduling — the same discipline as the
-    fault model's pure-hash sampler.  Functions must not rely on
-    shared mutable state; everything in scilife's evaluation path
-    builds fresh graphs per call and qualifies.
+    chunking or scheduling — the same discipline as the fault model's
+    pure-hash sampler.  Functions must not rely on shared mutable
+    state; everything in scilife's evaluation path builds fresh
+    graphs per call and qualifies.
 
     When the pool has a single domain (the default on a single-core
     host, where [Domain.recommended_domain_count () = 1]) no domain is
@@ -48,24 +48,16 @@ val default : unit -> t
 
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] is [List.map f xs], computed by the pool's domains
-    in chunks of [chunk] elements (default: enough chunks to balance
-    the load, about four per domain).  Results come back in input
-    order regardless of execution order.  If any application raises,
-    the exception of the {e smallest} input index is re-raised after
-    all chunks finish (so the raised exception is deterministic too).
-    Reentrant calls from inside a pool task fall back to the
-    sequential path rather than deadlock. *)
-
-val mapi : ?chunk:int -> t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** Index-passing variant of {!map}. *)
-
-val map_reduce :
-  ?chunk:int -> t -> map:('a -> 'b) -> reduce:('acc -> 'b -> 'acc) -> init:'acc ->
-  'a list -> 'acc
-(** [map_reduce pool ~map ~reduce ~init xs] folds the mapped results
-    in input order: identical to
-    [List.fold_left reduce init (List.map map xs)] whatever the domain
-    count.  Only the map runs in parallel. *)
+    in chunks of [chunk] elements (default: about four chunks per
+    domain) through the same ordered scheduler as {!map_reduce_seq}.
+    Results come back in input order regardless of execution order.
+    If any application raises, the exception of the {e smallest} input
+    index is re-raised (so the raised exception is deterministic too)
+    and the rest of the input is abandoned; chunks already running on
+    other domains finish in the background and their results are
+    dropped.  Reentrant calls from inside a pool task fall back to the
+    sequential path rather than deadlock.  Raises [Invalid_argument]
+    on [chunk < 1]. *)
 
 val map_reduce_seq :
   ?chunk:int ->
@@ -77,13 +69,13 @@ val map_reduce_seq :
   init:'acc ->
   'a Seq.t ->
   'acc
-(** [map_reduce_seq pool ~map ~reduce ~init xs] is the streaming form
-    of {!map_reduce}: the input sequence is pulled in small batches of
-    [chunk]-element chunks (default 8) as domains run dry, so spaces
-    of millions of candidates are swept without ever materializing a
+(** [map_reduce_seq pool ~map ~reduce ~init xs] is the streaming
+    ordered map-reduce: each domain takes the next [chunk] elements
+    (default 8) off the input sequence when it is free, so spaces of
+    millions of candidates are swept without ever materializing a
     list.  The mapped results are folded {e strictly in input order}
-    on the submitting domain (which interleaves reducing with chunk
-    evaluation of its own), so the result equals
+    on the submitting domain (which runs chunks of its own while the
+    next one to fold is still in flight), so the result equals
     [Seq.fold_left reduce init (Seq.map map xs)] bit for bit whatever
     the domain count.
 
@@ -96,7 +88,9 @@ val map_reduce_seq :
 
     Exceptions: the first raising element {e in input order} wins —
     its exception is re-raised and the remaining stream is abandoned
-    (chunks already in flight still complete).  A producer ([Seq])
+    (chunks already running on other domains finish in the background
+    and their results are dropped).  An exception of [reduce] or
+    [snapshot] abandons the stream the same way.  A producer ([Seq])
     exception is re-raised after everything yielded before it has
     been reduced, exactly where the sequential fold would raise.
     Raises [Invalid_argument] on [chunk < 1] or

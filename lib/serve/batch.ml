@@ -21,9 +21,8 @@ let costs ?pool ?meth ?law ?bcet_frac ?comm_jitter_frac ~design ~implementation
         S.key ?meth ?law ?bcet_frac ?comm_jitter_frac ~design ~implementation ()
       in
       (* each domain compiles (at most) one engine via the per-domain
-         session slot and sweeps its share of the seeds through it;
-         with work-stealing chunks the amortisation no longer depends
-         on a static one-chunk-per-domain split *)
+         session slot and sweeps every chunk of seeds it takes through
+         it, however the pool's chunks fall to the domains *)
       Explore.Pool.map pool
         (fun seed ->
           let s =

@@ -58,8 +58,8 @@ val costs :
     slot ({!Lifecycle.Session.obtain}) and sweeps its share of the
     seeds through it, so compilation is amortised [⌈n/domains⌉]-fold
     while results stay bit-for-bit equal to the sequential (and to
-    the per-seed rebuilding) evaluation — now independent of how the
-    work-stealing scheduler splits the list.  Default pool:
+    the per-seed rebuilding) evaluation, whichever domain takes which
+    chunk of the list.  Default pool:
     {!Explore.Pool.default}. *)
 
 val montecarlo :

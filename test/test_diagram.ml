@@ -27,6 +27,17 @@ let sample =
     (wcet hold_u P0 0.004)))
 |}
 
+(* runs [f] on explicit 1- and 2-domain pools, checks that the two
+   results are bit-for-bit equal and returns one of them, so pooled
+   code is exercised on 2 domains even on a single-core host *)
+let on_1_and_2_domains msg f =
+  let one = Explore.Pool.with_pool ~domains:1 f in
+  let two = Explore.Pool.with_pool ~domains:2 f in
+  check_true (msg ^ ": 1 and 2 domains bit for bit")
+    (Marshal.to_string one [ Marshal.No_sharing ]
+    = Marshal.to_string two [ Marshal.No_sharing ]);
+  one
+
 let diagram_tests =
   [
     test "lifecycle file parses and the ideal simulation tracks" (fun () ->
@@ -148,7 +159,10 @@ let montecarlo_tests =
             ~durations:file.Lifecycle.Diagram.durations ()
         in
         let ideal = design.Lifecycle.Design.cost (Lifecycle.Methodology.simulate_ideal design) in
-        let s = Lifecycle.Montecarlo.run ~runs:8 ~design ~implementation:impl () in
+        let s =
+          on_1_and_2_domains "monte-carlo" (fun pool ->
+              Lifecycle.Montecarlo.run ~runs:8 ~pool ~design ~implementation:impl ())
+        in
         check_int "all runs" 8 (Array.length s.Lifecycle.Montecarlo.costs);
         check_true "above ideal" (s.Lifecycle.Montecarlo.cmin >= ideal -. 1e-9);
         check_true "below static bound"
@@ -163,8 +177,12 @@ let montecarlo_tests =
             ~architecture:file.Lifecycle.Diagram.architecture
             ~durations:file.Lifecycle.Diagram.durations ()
         in
-        let s1 = Lifecycle.Montecarlo.run ~runs:4 ~design ~implementation:impl () in
-        let s2 = Lifecycle.Montecarlo.run ~runs:4 ~design ~implementation:impl () in
+        let run () =
+          on_1_and_2_domains "monte-carlo" (fun pool ->
+              Lifecycle.Montecarlo.run ~runs:4 ~pool ~design ~implementation:impl ())
+        in
+        let s1 = run () in
+        let s2 = run () in
         check_vec ~eps:0. "identical" s1.Lifecycle.Montecarlo.costs
           s2.Lifecycle.Montecarlo.costs);
     test "run count validated" (fun () ->
@@ -190,8 +208,9 @@ let report_tests =
             ~durations:file.Lifecycle.Diagram.durations ()
         in
         let mc =
-          Lifecycle.Montecarlo.run ~runs:3 ~design:file.Lifecycle.Diagram.design
-            ~implementation:c.Lifecycle.Methodology.implementation ()
+          on_1_and_2_domains "monte-carlo" (fun pool ->
+              Lifecycle.Montecarlo.run ~runs:3 ~pool ~design:file.Lifecycle.Diagram.design
+                ~implementation:c.Lifecycle.Methodology.implementation ())
         in
         let trace =
           Lifecycle.Methodology.execute file.Lifecycle.Diagram.design
@@ -246,9 +265,10 @@ let sweep_tests =
     test "latency sweep is monotone for a stable loop" (fun () ->
         let file = file () in
         let points =
-          Lifecycle.Sweep.latency ~fractions:[ 0.2; 0.5; 0.9 ]
-            ~design:file.Lifecycle.Diagram.design
-            ~architecture:file.Lifecycle.Diagram.architecture ~durations_of ()
+          on_1_and_2_domains "latency sweep" (fun pool ->
+              Lifecycle.Sweep.latency ~fractions:[ 0.2; 0.5; 0.9 ] ~pool
+                ~design:file.Lifecycle.Diagram.design
+                ~architecture:file.Lifecycle.Diagram.architecture ~durations_of ())
         in
         check_int "3 points" 3 (List.length points);
         let costs = List.map (fun p -> p.Lifecycle.Sweep.implemented_cost) points in
@@ -266,8 +286,9 @@ let sweep_tests =
             ~durations:(durations_of 0.9) ()
         in
         let points =
-          Lifecycle.Sweep.jitter ~bcet_fracs:[ 1.0; 0.5 ]
-            ~design:file.Lifecycle.Diagram.design ~implementation:impl ()
+          on_1_and_2_domains "jitter sweep" (fun pool ->
+              Lifecycle.Sweep.jitter ~bcet_fracs:[ 1.0; 0.5 ] ~pool
+                ~design:file.Lifecycle.Diagram.design ~implementation:impl ())
         in
         (match points with
         | [ wcet_point; jittered ] ->

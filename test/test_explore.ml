@@ -35,21 +35,6 @@ let pool_tests =
       (fun (xs, domains, chunk) ->
         let f x = (x * 7) - 1 in
         Pool.map ~chunk pools.(domains - 1) f xs = List.map f xs);
-    test "mapi passes input indices" (fun () ->
-        let xs = [ "a"; "b"; "c"; "d"; "e" ] in
-        Alcotest.(check (list string))
-          "indexed"
-          (List.mapi (fun i s -> Printf.sprintf "%d:%s" i s) xs)
-          (Pool.mapi pools.(2) (fun i s -> Printf.sprintf "%d:%s" i s) xs));
-    test "map_reduce folds mapped results in input order" (fun () ->
-        let xs = List.init 30 string_of_int in
-        (* string concat is not commutative: any reordering would show *)
-        Alcotest.(check string)
-          "ordered fold"
-          (String.concat "," xs)
-          (Pool.map_reduce pools.(3) ~map:(fun s -> s)
-             ~reduce:(fun acc s -> if acc = "" then s else acc ^ "," ^ s)
-             ~init:"" xs));
     test "the exception of the smallest failing index is re-raised" (fun () ->
         let xs = List.init 20 (fun i -> i) in
         match
@@ -57,6 +42,65 @@ let pool_tests =
         with
         | exception Boom i -> check_int "smallest index" 7 i
         | _ -> Alcotest.fail "expected Boom");
+    test "a slow early failure beats a fast later one and leaves the pool usable"
+      (fun () ->
+        (* the failing index [first] fails last in wall-clock time and
+           index 3 first: the in-order fold must still raise [first]'s
+           exception, and the participants of the aborted job must not
+           disturb the next job.  In the second case a slow index 0
+           keeps the submitting domain busy, so that a worker takes
+           index 1 and the submitter meets index 3's failure first. *)
+        let spin n =
+          let r = ref 0 in
+          for k = 1 to n do
+            r := Sys.opaque_identity (!r + k)
+          done
+        in
+        let cases =
+          [
+            ( 0,
+              fun i ->
+                if i = 0 then begin
+                  spin 2_000_000;
+                  raise (Boom 0)
+                end
+                else if i = 3 then raise (Boom 3)
+                else i );
+            ( 1,
+              fun i ->
+                if i = 0 then spin 1_000_000
+                else if i = 1 then begin
+                  spin 3_000_000;
+                  raise (Boom 1)
+                end
+                else if i = 3 then raise (Boom 3);
+                i );
+          ]
+        in
+        let xs = List.init 12 Fun.id in
+        let ys = List.init 200 Fun.id in
+        let g y = (y * 31) + 7 in
+        List.iter
+          (fun (first, f) ->
+            Array.iter
+              (fun pool ->
+                let label = Printf.sprintf "%d domains" (Pool.domains pool) in
+                (match Pool.map ~chunk:1 pool f xs with
+                | exception Boom i -> check_int (label ^ ": map") first i
+                | _ -> Alcotest.fail "expected Boom");
+                Alcotest.(check (list int))
+                  (label ^ ": map after abort") (List.map g ys) (Pool.map pool g ys);
+                (match
+                   Pool.map_reduce_seq ~chunk:1 pool ~map:f ~reduce:( + ) ~init:0
+                     (List.to_seq xs)
+                 with
+                | exception Boom i -> check_int (label ^ ": map_reduce_seq") first i
+                | _ -> Alcotest.fail "expected Boom");
+                Alcotest.(check (list int))
+                  (label ^ ": map after stream abort") (List.map g ys)
+                  (Pool.map ~chunk:3 pool g ys))
+              [| pools.(1); pools.(2); pools.(3) |])
+          cases);
     test "reentrant maps fall back to sequential instead of deadlocking" (fun () ->
         let pool = pools.(1) in
         let nested x = List.fold_left ( + ) 0 (Pool.map pool (fun y -> y * 2) [ x; x + 1 ]) in
@@ -75,7 +119,8 @@ let pool_tests =
         triple (list_size (0 -- 60) (int_bound 500)) (1 -- 4) (1 -- 5))
       (fun (xs, domains, chunk) ->
         (* per-element work varies by orders of magnitude, so chunks
-           finish far apart and stealing actually happens *)
+           finish far apart and out of order, and the in-order fold
+           has to wait for slow chunks taken by other domains *)
         let f x =
           let spin = x mod 7 * 400 in
           let r = ref 0 in
@@ -905,6 +950,29 @@ let engine_seq_tests =
               Explorer.evaluate ~pool ~engine_reuse ~designs ~candidates ())
         in
         eval true = eval false);
+    test "engine reuse recompiles when the timing law changes within a cell"
+      (fun () ->
+        (* every candidate twice in a row, the second time under
+           another law and BCET fraction: a session kept across the
+           change would cost the second one under the first law *)
+        let designs = [ dc_design () ] in
+        let uniform = seeded_grid ~fractions:[ 0.5 ] ~seeds:[ 11; 12 ] () in
+        let relaw (c : Grid.candidate) =
+          match c.Grid.mode with
+          | Translator.Delay_graph.Jittered { seed; _ } ->
+              {
+                c with
+                Grid.mode =
+                  Translator.Delay_graph.Jittered
+                    { law = Exec.Timing_law.Triangular 0.8; bcet_frac = 0.7; seed };
+              }
+          | Translator.Delay_graph.Static_wcet -> c
+        in
+        let candidates = List.concat_map (fun c -> [ c; relaw c ]) uniform in
+        let eval engine_reuse =
+          Explorer.evaluate ~pool:pools.(0) ~engine_reuse ~designs ~candidates ()
+        in
+        check_true "reuse equals rebuild" (eval true = eval false));
     test "evaluate_seq agrees with evaluate and samples bit-for-bit" (fun () ->
         let designs = [ dc_design () ] and candidates = seeded_grid () in
         let points =
@@ -933,7 +1001,7 @@ let engine_seq_tests =
         let observe pool =
           let snaps = ref [] in
           let s =
-            Explorer.evaluate_seq ~pool ~chunk:2 ~snapshot_every:4
+            Explorer.evaluate_seq ~pool ~snapshot_every:4
               ~snapshot:(fun p -> snaps := p :: !snaps)
               ~sample_every:5 ~designs ~candidates:(List.to_seq candidates) ()
           in
